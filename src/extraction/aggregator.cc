@@ -2,10 +2,22 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "util/logging.h"
 
 namespace surveyor {
+
+namespace {
+
+/// The total order provenance samples are ranked by: corpus position
+/// first, polarity only to break ties inside one sentence.
+bool RefLess(const StatementRef& a, const StatementRef& b) {
+  return std::tie(a.doc_id, a.sentence_index, a.positive) <
+         std::tie(b.doc_id, b.sentence_index, b.positive);
+}
+
+}  // namespace
 
 EvidenceAggregator::EvidenceAggregator(int max_provenance_samples)
     : max_provenance_samples_(max_provenance_samples) {
@@ -22,13 +34,19 @@ void EvidenceAggregator::Add(const EvidenceStatement& statement) {
   }
   ++total_statements_;
   if (max_provenance_samples_ > 0) {
-    std::vector<StatementRef>& refs =
-        provenance_[statement.entity][statement.property];
-    if (refs.size() < static_cast<size_t>(max_provenance_samples_)) {
-      refs.push_back(StatementRef{statement.doc_id, statement.sentence_index,
-                                  statement.positive});
-    }
+    KeepSmallest(StatementRef{statement.doc_id, statement.sentence_index,
+                              statement.positive},
+                 &provenance_[statement.entity][statement.property]);
   }
+}
+
+void EvidenceAggregator::KeepSmallest(const StatementRef& ref,
+                                      std::vector<StatementRef>* refs) const {
+  const size_t cap = static_cast<size_t>(max_provenance_samples_);
+  if (refs->size() >= cap && !RefLess(ref, refs->back())) return;
+  refs->insert(std::upper_bound(refs->begin(), refs->end(), ref, RefLess),
+               ref);
+  if (refs->size() > cap) refs->pop_back();
 }
 
 void EvidenceAggregator::AddAll(
@@ -50,12 +68,7 @@ void EvidenceAggregator::Merge(const EvidenceAggregator& other) {
       auto& mine = provenance_[entity];
       for (const auto& [property, refs] : properties) {
         std::vector<StatementRef>& target = mine[property];
-        for (const StatementRef& ref : refs) {
-          if (target.size() >= static_cast<size_t>(max_provenance_samples_)) {
-            break;
-          }
-          target.push_back(ref);
-        }
+        for (const StatementRef& ref : refs) KeepSmallest(ref, &target);
       }
     }
   }

@@ -41,12 +41,15 @@ struct StatementRef {
 /// Accumulates evidence statements into per-(entity, property) counters and
 /// groups them by entity type. Shards accumulate independently and are
 /// merged, mirroring the paper's map-reduce structure. Optionally keeps a
-/// bounded sample of supporting statement locations per pair.
+/// bounded sample of supporting statement locations per pair: the N
+/// smallest refs by (doc_id, sentence_index), so Add and Merge keep the
+/// same refs, in ascending order, whatever the arrival order or the number
+/// of shards.
 class EvidenceAggregator {
  public:
   /// `max_provenance_samples` bounds how many supporting statement
-  /// references are kept per (entity, property) pair; 0 disables
-  /// provenance tracking.
+  /// references are kept per (entity, property) pair — the ones earliest
+  /// in (doc_id, sentence_index) order; 0 disables provenance tracking.
   explicit EvidenceAggregator(int max_provenance_samples = 0);
 
   /// Adds one statement to the counters.
@@ -77,8 +80,9 @@ class EvidenceAggregator {
   /// one value per knowledge-base entity, zeros included.
   std::vector<int64_t> StatementsPerEntity(const KnowledgeBase& kb) const;
 
-  /// Supporting statement locations sampled for a pair (empty when
-  /// provenance tracking is disabled or the pair has no evidence).
+  /// Supporting statement locations sampled for a pair, ascending by
+  /// (doc_id, sentence_index) (empty when provenance tracking is disabled
+  /// or the pair has no evidence).
   std::vector<StatementRef> SupportingStatements(
       EntityId entity, const std::string& property) const;
 
@@ -88,6 +92,11 @@ class EvidenceAggregator {
   AllSupportingStatements() const;
 
  private:
+  /// Inserts `ref` into the sorted `refs` if it ranks among the
+  /// max_provenance_samples_ smallest.
+  void KeepSmallest(const StatementRef& ref,
+                    std::vector<StatementRef>* refs) const;
+
   /// property -> counts, nested under entity.
   std::unordered_map<EntityId,
                      std::unordered_map<std::string, EvidenceCounts>>
