@@ -18,7 +18,7 @@
 #include "obs/request_trace.h"
 #include "obs/resource_sampler.h"
 #include "obs/trace.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "util/profile_tag.h"
 
 namespace surveyor {
@@ -44,9 +44,8 @@ int Run(const std::string& out_path) {
 
   SurveyorConfig config;
   config.min_statements = 100;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
   bench::Stopwatch timer;
-  auto result = pipeline.Run(corpus);
+  auto result = Mine(config, corpus, world.kb(), world.lexicon());
   const double wall_seconds = timer.ElapsedSeconds();
   SURVEYOR_CHECK(result.ok());
   const PipelineStats& stats = result->stats;

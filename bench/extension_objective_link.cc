@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "eval/objective_link.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "util/string_util.h"
 
 namespace surveyor {
@@ -51,8 +51,7 @@ void Run() {
 
     SurveyorConfig config;
     config.min_statements = 100;
-    SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
-    auto result = pipeline.Run(corpus);
+    auto result = Mine(config, corpus, world.kb(), world.lexicon());
     SURVEYOR_CHECK(result.ok());
     const PropertyTypeResult* pair = result->Find(0, scenario.property);
     SURVEYOR_CHECK(pair != nullptr);

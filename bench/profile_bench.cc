@@ -21,7 +21,7 @@
 #include "obs/json_writer.h"
 #include "obs/profiler.h"
 #include "obs/stage.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "text/annotator.h"
 #include "text/tokenizer.h"
 #include "util/profile_tag.h"
@@ -62,13 +62,12 @@ int Run(const std::string& out_path) {
   SurveyorConfig config;
   config.min_statements = 100;
   config.stage_tracker = &stage_tracker;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
 
   obs::ProfilerOptions profiler_options;
   profiler_options.stage_tracker = &stage_tracker;
   obs::Profiler& profiler = obs::Profiler::Global();
   SURVEYOR_CHECK_OK(profiler.Start(profiler_options));
-  auto result = pipeline.Run(corpus);
+  auto result = Mine(config, corpus, world.kb(), world.lexicon());
   auto profile = profiler.Stop();
   SURVEYOR_CHECK(result.ok());
   SURVEYOR_CHECK(profile.ok());

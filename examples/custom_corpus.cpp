@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "kb/kb_io.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "util/table.h"
 
 int main() {
@@ -58,8 +58,7 @@ int main() {
   // --- 4. Run the pipeline ---------------------------------------------------
   SurveyorConfig config;
   config.min_statements = 2;  // tiny corpus: lower the rho threshold
-  SurveyorPipeline pipeline(&kb, &lexicon, config);
-  auto result = pipeline.Run(corpus);
+  auto result = Mine(config, corpus, kb, lexicon);
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;

@@ -8,7 +8,7 @@
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 
 int main() {
   using namespace surveyor;
@@ -25,8 +25,7 @@ int main() {
   // Configure and run the pipeline (Algorithm 1 of the paper).
   SurveyorConfig config;
   config.min_statements = 50;  // the rho threshold
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
-  auto result = pipeline.Run(corpus);
+  auto result = Mine(config, corpus, world.kb(), world.lexicon());
   if (!result.ok()) {
     std::cerr << "pipeline failed: " << result.status() << "\n";
     return 1;

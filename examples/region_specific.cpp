@@ -10,7 +10,7 @@
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "util/table.h"
 
 int main() {
@@ -52,7 +52,6 @@ int main() {
 
   SurveyorConfig pipeline_config;
   pipeline_config.min_statements = 30;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), pipeline_config);
   const TypeId sport = world.kb().TypeByName("sport").value();
 
   // Mine each region separately by restricting the input documents, plus
@@ -61,7 +60,8 @@ int main() {
   std::vector<std::vector<Polarity>> per_domain;
   for (const std::string& domain : {std::string(), std::string("east"),
                                     std::string("west")}) {
-    auto result = pipeline.Run(FilterByDomain(corpus, domain));
+    auto result = Mine(pipeline_config, FilterByDomain(corpus, domain),
+                       world.kb(), world.lexicon());
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;

@@ -198,7 +198,7 @@ AdminResponse AdminServer::Dispatch(std::string_view method,
   }
   if (best != nullptr) {
     // Endpoint counters aggregate under the registered prefix, not the
-    // full path, so "/query?entity=x" and "/query/batch" share a series.
+    // full path, so "/v1/query?e=x" and "/v1/query/batch" share a series.
     scope->set_endpoint(best_prefix);
     return (*best)(method, target, body);
   }

@@ -154,7 +154,7 @@ class AdminServer {
   int port() const { return port_; }
 
   /// Mounts `handler` on every path equal to `prefix` or under it
-  /// ("/query" also matches "/query/batch"). Longest registered prefix
+  /// ("/v1/query" also matches "/v1/query/batch"). Longest registered prefix
   /// wins; registered paths shadow the builtins. Handlers decide their
   /// own method policy (this is how POST endpoints exist on an otherwise
   /// GET-only plane). Must be called before Start(); not thread-safe

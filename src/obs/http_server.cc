@@ -556,9 +556,11 @@ class HttpServer::Worker {
 
   void Close(Connection* conn) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+    // Released before the close, so a peer that has seen EOF also sees the
+    // open-connection count drop.
+    server_->ReleaseConnection();
     ::close(conn->fd);
     conns_.erase(conn->id);
-    server_->ReleaseConnection();
   }
 
   /// Re-arms the connection's epoll interest to match its state: reads

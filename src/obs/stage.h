@@ -14,8 +14,8 @@
 namespace surveyor {
 namespace obs {
 
-/// Readiness state machine of a mining process, advanced by
-/// SurveyorPipeline::Run* and served by the admin server's /readyz:
+/// Readiness state machine of a mining process, advanced by every mining
+/// run (surveyor::Mine) and served by the admin server's /readyz:
 /// starting → extracting → fitting → serving/done. A scraper (or a load
 /// balancer, once the opinion store serves traffic) treats serving/done as
 /// ready and everything earlier as warming up.

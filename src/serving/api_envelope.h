@@ -42,13 +42,6 @@ std::string ApiErrorJson(int status, std::string_view message);
 /// array, or scalar), e.g. a JsonWriter's str().
 obs::AdminResponse ApiData(std::string_view json_value);
 
-/// Stamps a legacy-path response as a one-PR deprecation shim:
-/// `Deprecation: true` plus a successor-version Link so clients can
-/// discover the /v1 path mechanically. The body is untouched — shims
-/// answer byte-identically to their successors.
-void MarkDeprecated(obs::AdminResponse* response,
-                    std::string_view successor_path);
-
 }  // namespace serving
 }  // namespace surveyor
 

@@ -19,11 +19,12 @@ namespace surveyor {
 /// opinions that `serving::SnapshotWriter` freezes into the artifact
 /// `surveyor_cli serve` answers queries from.
 ///
-/// This facade plus SurveyorPipeline's three Run* methods are the entire
-/// supported surface; everything else on the pipeline (registry plumbing,
-/// partial extraction) is private or a deprecated shim on its way out.
-/// Prefer the facade: it cannot be called in a wrong order, and callers
-/// that only mine never need to name SurveyorPipeline at all.
+/// The two Mine overloads are the only way documents become evidence: the
+/// in-memory overload streams its corpus through a VectorDocumentSource,
+/// so both run the same extraction loop and, for the same documents in
+/// the same order, return identical results at any thread count.
+/// SurveyorPipeline::RunFromEvidence is the one entry below this facade,
+/// for callers that already hold grouped evidence.
 ///
 /// `kb` and `lexicon` must outlive the call. `source` must be
 /// thread-safe; it is drained until exhaustion without ever materializing

@@ -112,7 +112,7 @@ void EnterStage(obs::StageTracker* tracker, obs::PipelineStage stage) {
 }
 
 /// Per-run fault accounting: arms the config's spec for the scope of one
-/// Run* call and meters the injections it caused into the registry
+/// run and meters the injections it caused into the registry
 /// (surveyor_faults_injected_total), whether they came from the config
 /// spec or an environment-armed chaos profile.
 class RunFaultScope {
@@ -194,9 +194,7 @@ void DegradePairToMajorityVote(const Status& why, double decision_threshold,
 }
 
 /// Counter handles of the extraction stage, resolved once per run so the
-/// per-document hot path is pure lock-free increments. Both the batch and
-/// the streaming path count through this one type, which is what keeps
-/// their PipelineStats in lockstep.
+/// per-document hot path is pure lock-free increments.
 struct ExtractionCounters {
   explicit ExtractionCounters(obs::MetricRegistry& registry) {
     documents = registry.GetCounter("surveyor_extract_documents_total");
@@ -340,55 +338,9 @@ void AssembleReport(obs::MetricRegistry& registry,
 
 }  // namespace
 
-EvidenceAggregator SurveyorPipeline::ExtractEvidenceWithRegistry(
-    const std::vector<RawDocument>& corpus, obs::MetricRegistry& registry,
-    PipelineStats* stats) const {
-  const size_t num_threads = EffectiveThreads(config_.num_threads);
-  ThreadPool pool(num_threads);
-  const size_t num_shards = num_threads;
-
-  std::vector<EvidenceAggregator> shards(num_shards);
-  for (EvidenceAggregator& shard : shards) {
-    shard = EvidenceAggregator(config_.max_provenance_samples);
-  }
-
-  ExtractionCounters counters(registry);
-  TextAnnotator annotator(kb_, lexicon_, config_.tagger);
-  EvidenceExtractor extractor(config_.extraction);
-
-  // Documents are independent: shard them across workers, merge counters
-  // at the end — the paper's map-reduce at thread scale.
-  const uint64_t parent_span = obs::CurrentSpanId();
-  const size_t docs_per_shard = (corpus.size() + num_shards - 1) / num_shards;
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    const size_t begin = shard * docs_per_shard;
-    const size_t end = std::min(corpus.size(), begin + docs_per_shard);
-    if (begin >= end) continue;
-    pool.Submit([&, shard, begin, end, parent_span] {
-      obs::ScopedSpan span("extract.shard", parent_span);
-      EvidenceAggregator& aggregator = shards[shard];
-      for (size_t d = begin; d < end; ++d) {
-        const AnnotatedDocument doc =
-            annotator.AnnotateDocument(corpus[d].doc_id, corpus[d].text);
-        const std::vector<EvidenceStatement> statements =
-            extractor.ExtractFromDocument(doc);
-        counters.CountDocument(doc, statements);
-        aggregator.AddAll(statements);
-      }
-    });
-  }
-  pool.Wait();
-
-  EvidenceAggregator merged(config_.max_provenance_samples);
-  for (const EvidenceAggregator& shard : shards) merged.Merge(shard);
-  RecordPoolMetrics(registry, pool, "extract");
-  FillExtractionStats(counters, registry, merged, stats);
-  return merged;
-}
-
-EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
-    DocumentSource& source, obs::MetricRegistry& registry,
-    PipelineStats* stats) const {
+EvidenceAggregator SurveyorPipeline::Extract(DocumentSource& source,
+                                             obs::MetricRegistry& registry,
+                                             PipelineStats* stats) const {
   const size_t num_threads = EffectiveThreads(config_.num_threads);
   ThreadPool pool(num_threads);
 
@@ -401,8 +353,8 @@ EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
   TextAnnotator annotator(kb_, lexicon_, config_.tagger);
   EvidenceExtractor extractor(config_.extraction);
 
-  // The snapshot never fits in memory, so the operator's only window into
-  // a streaming run is this periodic progress line.
+  // A Web snapshot never fits in memory, so the operator's only window
+  // into a long run is this periodic progress line.
   std::unique_ptr<obs::ProgressReporter> reporter;
   if (config_.progress_interval_seconds > 0) {
     struct RateState {
@@ -440,8 +392,10 @@ EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
         });
   }
 
+  // Documents are independent — the paper's map-reduce at thread scale.
   // Each worker pulls documents until the source runs dry; the source is
-  // the only point of coordination.
+  // the only point of coordination. Shards merge in any order: counts
+  // add, and provenance keeps the earliest refs (EvidenceAggregator).
   const uint64_t parent_span = obs::CurrentSpanId();
   for (size_t shard = 0; shard < num_threads; ++shard) {
     pool.Submit([&, shard, parent_span] {
@@ -476,22 +430,19 @@ EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
   return merged;
 }
 
-EvidenceAggregator SurveyorPipeline::ExtractEvidence(
-    const std::vector<RawDocument>& corpus, PipelineStats* stats) const {
-  obs::MetricRegistry registry;
-  return ExtractEvidenceWithRegistry(corpus, registry, stats);
-}
+StatusOr<PipelineResult> SurveyorPipeline::MineDocuments(
+    DocumentSource& source, obs::MetricRegistry& registry,
+    obs::RunReport* report) const {
+  PipelineStats stats;
+  EvidenceAggregator aggregator = [&] {
+    EnterStage(config_.stage_tracker, obs::PipelineStage::kExtracting);
+    obs::ScopedSpan span("extract");
+    EvidenceAggregator extracted = Extract(source, registry, &stats);
+    span.End();
+    stats.extraction_seconds = span.ElapsedSeconds();
+    return extracted;
+  }();
 
-EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreaming(
-    DocumentSource& source, PipelineStats* stats) const {
-  obs::MetricRegistry registry;
-  return ExtractEvidenceStreamingWithRegistry(source, registry, stats);
-}
-
-/// Shared tail of Run/RunStreaming: group, filter, learn, merge stats.
-StatusOr<PipelineResult> SurveyorPipeline::FinishRun(
-    EvidenceAggregator aggregator, PipelineStats stats,
-    obs::MetricRegistry& registry, obs::RunReport* report) const {
   std::vector<PropertyTypeEvidence> kept;
   {
     obs::ScopedSpan span("group");
@@ -520,50 +471,20 @@ StatusOr<PipelineResult> SurveyorPipeline::FinishRun(
     stats.grouping_seconds = span.ElapsedSeconds();
   }
 
-  SURVEYOR_ASSIGN_OR_RETURN(
-      PipelineResult result,
-      RunFromEvidenceWithRegistry(std::move(kept), registry, report));
+  SURVEYOR_ASSIGN_OR_RETURN(PipelineResult result,
+                            Fit(std::move(kept), registry, report));
   if (config_.max_provenance_samples > 0) {
     for (auto& [entity, property, refs] :
          aggregator.AllSupportingStatements()) {
       result.provenance[{entity, property}] = std::move(refs);
     }
   }
-  const double em_seconds = result.stats.em_seconds;
-  const int64_t kept_pairs = result.stats.num_kept_property_type_pairs;
-  const int64_t opinions = result.stats.num_opinions;
+  stats.em_seconds = result.stats.em_seconds;
+  stats.num_kept_property_type_pairs =
+      result.stats.num_kept_property_type_pairs;
+  stats.num_opinions = result.stats.num_opinions;
   result.stats = stats;
-  result.stats.em_seconds = em_seconds;
-  result.stats.num_kept_property_type_pairs = kept_pairs;
-  result.stats.num_opinions = opinions;
-  return result;
-}
 
-StatusOr<PipelineResult> SurveyorPipeline::RunStreaming(
-    DocumentSource& source) const {
-  SURVEYOR_RETURN_IF_ERROR(config_.Validate());
-  obs::MetricRegistry local_registry;
-  obs::MetricRegistry& registry =
-      config_.live_metrics != nullptr ? *config_.live_metrics : local_registry;
-  obs::TraceSession trace;
-  obs::RunReport report;
-  report.em.max_worst_fits = config_.report_worst_fits;
-  PipelineStats stats;
-  RunFaultScope faults(config_, registry);
-  StatusOr<PipelineResult> result = [&]() -> StatusOr<PipelineResult> {
-    obs::ScopedSpan root("pipeline.run");
-    EvidenceAggregator aggregator = [&] {
-      EnterStage(config_.stage_tracker, obs::PipelineStage::kExtracting);
-      obs::ScopedSpan span("extract");
-      EvidenceAggregator extracted =
-          ExtractEvidenceStreamingWithRegistry(source, registry, &stats);
-      span.End();
-      stats.extraction_seconds = span.ElapsedSeconds();
-      return extracted;
-    }();
-    return FinishRun(std::move(aggregator), stats, registry, &report);
-  }();
-  if (!result.ok()) return result;
   // A source that ends with an error mid-stream means the corpus was only
   // partially read; warn rather than pretend the numbers are complete.
   const Status source_status = source.status();
@@ -571,28 +492,15 @@ StatusOr<PipelineResult> SurveyorPipeline::RunStreaming(
     registry.GetCounter("surveyor_source_truncated_total")->Increment();
     SURVEYOR_LOG(Warning) << "document source truncated: "
                           << source_status.ToString();
-    report.degradation.notes.push_back("document source truncated: " +
-                                       source_status.ToString());
-  }
-  faults.MeterInjected();
-  FillDegradationStats(registry, &result->stats);
-  AssembleReport(registry, trace, result->stats, &report);
-  result->report = std::move(report);
-  EnterStage(config_.stage_tracker, obs::PipelineStage::kDone);
-  if (config_.stage_tracker != nullptr) {
-    config_.stage_tracker->SetDegraded(result->report.degradation.degraded);
+    report->degradation.notes.push_back("document source truncated: " +
+                                        source_status.ToString());
   }
   return result;
 }
 
-StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
+StatusOr<PipelineResult> SurveyorPipeline::Fit(
     std::vector<PropertyTypeEvidence> evidence, obs::MetricRegistry& registry,
     obs::RunReport* report) const {
-  // A bad configuration fails every pair the same way; reject it once, up
-  // front and loudly — degradation is only for per-pair failures. The
-  // public entry points validate before extraction; this backstop covers
-  // the internal path for callers the compiler cannot see.
-  SURVEYOR_RETURN_IF_ERROR(config_.Validate());
   EnterStage(config_.stage_tracker, obs::PipelineStage::kFitting);
   PipelineResult result;
   result.pairs.resize(evidence.size());
@@ -749,17 +657,20 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
   return result;
 }
 
-StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidence(
-    std::vector<PropertyTypeEvidence> evidence) const {
+StatusOr<PipelineResult> SurveyorPipeline::Instrumented(
+    const RunBody& body) const {
   SURVEYOR_RETURN_IF_ERROR(config_.Validate());
   obs::MetricRegistry local_registry;
   obs::MetricRegistry& registry =
       config_.live_metrics != nullptr ? *config_.live_metrics : local_registry;
   obs::TraceSession trace;
   obs::RunReport report;
+  report.em.max_worst_fits = config_.report_worst_fits;
   RunFaultScope faults(config_, registry);
-  StatusOr<PipelineResult> result =
-      RunFromEvidenceWithRegistry(std::move(evidence), registry, &report);
+  StatusOr<PipelineResult> result = [&] {
+    obs::ScopedSpan root("pipeline.run");
+    return body(registry, &report);
+  }();
   if (!result.ok()) return result;
   faults.MeterInjected();
   FillDegradationStats(registry, &result->stats);
@@ -772,40 +683,12 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidence(
   return result;
 }
 
-StatusOr<PipelineResult> SurveyorPipeline::Run(
-    const std::vector<RawDocument>& corpus) const {
-  SURVEYOR_RETURN_IF_ERROR(config_.Validate());
-  obs::MetricRegistry local_registry;
-  obs::MetricRegistry& registry =
-      config_.live_metrics != nullptr ? *config_.live_metrics : local_registry;
-  obs::TraceSession trace;
-  obs::RunReport report;
-  report.em.max_worst_fits = config_.report_worst_fits;
-  PipelineStats stats;
-  RunFaultScope faults(config_, registry);
-  StatusOr<PipelineResult> result = [&]() -> StatusOr<PipelineResult> {
-    obs::ScopedSpan root("pipeline.run");
-    EvidenceAggregator aggregator = [&] {
-      EnterStage(config_.stage_tracker, obs::PipelineStage::kExtracting);
-      obs::ScopedSpan span("extract");
-      EvidenceAggregator extracted =
-          ExtractEvidenceWithRegistry(corpus, registry, &stats);
-      span.End();
-      stats.extraction_seconds = span.ElapsedSeconds();
-      return extracted;
-    }();
-    return FinishRun(std::move(aggregator), stats, registry, &report);
-  }();
-  if (!result.ok()) return result;
-  faults.MeterInjected();
-  FillDegradationStats(registry, &result->stats);
-  AssembleReport(registry, trace, result->stats, &report);
-  result->report = std::move(report);
-  EnterStage(config_.stage_tracker, obs::PipelineStage::kDone);
-  if (config_.stage_tracker != nullptr) {
-    config_.stage_tracker->SetDegraded(result->report.degradation.degraded);
-  }
-  return result;
+StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidence(
+    std::vector<PropertyTypeEvidence> evidence) const {
+  return Instrumented(
+      [&](obs::MetricRegistry& registry, obs::RunReport* report) {
+        return Fit(std::move(evidence), registry, report);
+      });
 }
 
 }  // namespace surveyor

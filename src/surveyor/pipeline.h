@@ -2,6 +2,7 @@
 #define SURVEYOR_SURVEYOR_PIPELINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,32 +31,34 @@ struct SurveyorConfig {
   /// Posterior threshold for emitting a polarity (paper default 1/2).
   double decision_threshold = 0.5;
   /// Supporting-statement references kept per pair (0 = off); lets query
-  /// results link back to the documents that asserted them.
+  /// results link back to the documents that asserted them. The kept refs
+  /// are the ones earliest in (doc_id, sentence_index) order, so they do
+  /// not depend on thread count or document arrival order.
   int max_provenance_samples = 0;
   /// Worker threads for document annotation/extraction and per-pair EM.
   /// 0 means hardware concurrency. This is the laptop-scale stand-in for
   /// the paper's 5000-node cluster.
   int num_threads = 0;
   EntityTaggerOptions tagger;
-  /// Streaming extraction logs a progress line (docs/sec, statements/sec,
+  /// Extraction logs a progress line (docs/sec, statements/sec,
   /// queue depth) every this many seconds; 0 disables the reporter.
   double progress_interval_seconds = 5.0;
-  /// When true, Run* computes per-pair ModelDiagnostics and aggregates
+  /// When true, a run computes per-pair ModelDiagnostics and aggregates
   /// them into the run report (worst-chi2 misfit ranking).
   bool collect_fit_diagnostics = true;
   /// How many worst-fitting pairs the run report keeps.
   int report_worst_fits = 10;
   /// Live metrics registry for the admin plane (not owned, must outlive
-  /// the pipeline). When set, Run* records its counters here — so an
+  /// the pipeline). When set, a run records its counters here — so an
   /// embedded obs::AdminServer scraping the same registry sees them move
   /// mid-run — instead of into a run-local registry. Reports and
   /// PipelineStats are derived from the same registry either way.
   obs::MetricRegistry* live_metrics = nullptr;
-  /// Readiness state machine for /readyz (not owned). When set, Run*
+  /// Readiness state machine for /readyz (not owned). When set, a run
   /// advances it: extracting -> fitting -> done, and carries the degraded
   /// flag of the last run.
   obs::StageTracker* stage_tracker = nullptr;
-  /// Fault-injection spec armed for the duration of every Run* call (see
+  /// Fault-injection spec armed for the duration of every run (see
   /// util/fault.h for the grammar, DESIGN.md §9 for the point names).
   /// Empty = leave the process-wide injector alone (including an
   /// environment-armed chaos profile).
@@ -80,8 +83,8 @@ struct SurveyorConfig {
   /// One check for the whole configuration: range checks on
   /// min_statements / decision_threshold / thread counts / sample counts,
   /// EmOptions validity, fault-spec parseability. Every pipeline entry
-  /// point (Run, RunStreaming, RunFromEvidence — and therefore Mine)
-  /// calls this before doing any work, so a bad configuration fails fast
+  /// point (both Mine overloads and RunFromEvidence) calls this before
+  /// doing any work, so a bad configuration fails fast
   /// with kInvalidArgument instead of mid-run; the CLI surfaces the
   /// message verbatim.
   Status Validate() const;
@@ -115,8 +118,7 @@ struct PairOpinion {
 
 /// Throughput and volume statistics of one pipeline run (the Section 7.1
 /// numbers at laptop scale). Every counter is derived from the run's
-/// metrics registry, so Run and RunStreaming cannot drift and the values
-/// match the run report exactly.
+/// metrics registry, so the values match the run report exactly.
 struct PipelineStats {
   int64_t num_documents = 0;
   int64_t num_sentences = 0;
@@ -166,20 +168,15 @@ struct PipelineResult {
 /// group it by property-type combination, learn the user-behavior model
 /// per combination with EM, and infer a dominant-opinion probability for
 /// every entity of every kept combination.
+///
+/// Documents enter through the two surveyor::Mine overloads (api.h), which
+/// run all of Algorithm 1; RunFromEvidence is the one entry for callers
+/// that already hold grouped evidence.
 class SurveyorPipeline {
  public:
   /// `kb` and `lexicon` must outlive the pipeline.
   SurveyorPipeline(const KnowledgeBase* kb, const Lexicon* lexicon,
                    SurveyorConfig config = {});
-
-  /// Runs the full pipeline over a document corpus.
-  StatusOr<PipelineResult> Run(const std::vector<RawDocument>& corpus) const;
-
-  /// Full pipeline over a document stream: workers pull documents from
-  /// `source` until it is exhausted, so the corpus never needs to fit in
-  /// memory (the deployed system's snapshot was 40 TB). `source` must be
-  /// thread-safe.
-  StatusOr<PipelineResult> RunStreaming(DocumentSource& source) const;
 
   /// Model learning + inference over pre-aggregated evidence (one entry
   /// per property-type combination that passed the rho filter).
@@ -188,35 +185,36 @@ class SurveyorPipeline {
 
   const SurveyorConfig& config() const { return config_; }
 
-  // --- Deprecated shims (removal next PR) --------------------------------
-  // The public API is Run/RunStreaming/RunFromEvidence (or the
-  // surveyor::Mine facade in api.h); partial-pipeline extraction was
-  // registry plumbing that leaked out. Kept one PR for callers to migrate.
-
-  /// \deprecated Use Run(); extraction-only output will move behind the
-  /// facade. Annotation + extraction, sharded across threads, against a
-  /// throwaway registry.
-  EvidenceAggregator ExtractEvidence(const std::vector<RawDocument>& corpus,
-                                     PipelineStats* stats) const;
-
-  /// \deprecated Use RunStreaming(); see ExtractEvidence.
-  EvidenceAggregator ExtractEvidenceStreaming(DocumentSource& source,
-                                              PipelineStats* stats) const;
-
  private:
-  EvidenceAggregator ExtractEvidenceWithRegistry(
-      const std::vector<RawDocument>& corpus, obs::MetricRegistry& registry,
-      PipelineStats* stats) const;
-  EvidenceAggregator ExtractEvidenceStreamingWithRegistry(
-      DocumentSource& source, obs::MetricRegistry& registry,
-      PipelineStats* stats) const;
-  StatusOr<PipelineResult> RunFromEvidenceWithRegistry(
-      std::vector<PropertyTypeEvidence> evidence,
-      obs::MetricRegistry& registry, obs::RunReport* report) const;
-  StatusOr<PipelineResult> FinishRun(EvidenceAggregator aggregator,
-                                     PipelineStats stats,
-                                     obs::MetricRegistry& registry,
-                                     obs::RunReport* report) const;
+  friend StatusOr<PipelineResult> Mine(const SurveyorConfig& config,
+                                       DocumentSource& source,
+                                       const KnowledgeBase& kb,
+                                       const Lexicon& lexicon);
+
+  /// The stage bodies run inside Instrumented: they record into the run's
+  /// registry and fill the run's report.
+  using RunBody = std::function<StatusOr<PipelineResult>(
+      obs::MetricRegistry& registry, obs::RunReport* report)>;
+
+  /// The wrapper every run shares: validation, registry choice, trace
+  /// session, fault scope, report assembly and readiness stages.
+  StatusOr<PipelineResult> Instrumented(const RunBody& body) const;
+
+  /// Algorithm 1 over a document stream: extract, group, fit.
+  StatusOr<PipelineResult> MineDocuments(DocumentSource& source,
+                                         obs::MetricRegistry& registry,
+                                         obs::RunReport* report) const;
+
+  /// Annotation + extraction: workers pull documents from `source` until
+  /// it is exhausted, each into its own aggregator shard.
+  EvidenceAggregator Extract(DocumentSource& source,
+                             obs::MetricRegistry& registry,
+                             PipelineStats* stats) const;
+
+  /// Per-pair EM and inference over grouped evidence.
+  StatusOr<PipelineResult> Fit(std::vector<PropertyTypeEvidence> evidence,
+                               obs::MetricRegistry& registry,
+                               obs::RunReport* report) const;
 
   const KnowledgeBase* kb_;
   const Lexicon* lexicon_;

@@ -48,7 +48,8 @@ class DocumentSource {
   virtual DocumentSourceCounters counters() const { return {}; }
 };
 
-/// Adapts an in-memory corpus to the streaming interface.
+/// Adapts an in-memory corpus to the streaming interface; documents come
+/// out in corpus order.
 class VectorDocumentSource : public DocumentSource {
  public:
   /// `corpus` must outlive the source.

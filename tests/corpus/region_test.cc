@@ -6,7 +6,7 @@
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 
 namespace surveyor {
 namespace {
@@ -72,11 +72,12 @@ TEST_F(RegionTest, OppositeShiftsProduceOppositeOpinions) {
 
   SurveyorConfig pipeline_config;
   pipeline_config.min_statements = 30;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), pipeline_config);
   const TypeId animal = world.kb().TypeByName("animal").value();
 
-  auto pro = pipeline.Run(FilterByDomain(corpus, "pro"));
-  auto anti = pipeline.Run(FilterByDomain(corpus, "anti"));
+  auto pro = Mine(pipeline_config, FilterByDomain(corpus, "pro"), world.kb(),
+                  world.lexicon());
+  auto anti = Mine(pipeline_config, FilterByDomain(corpus, "anti"),
+                   world.kb(), world.lexicon());
   ASSERT_TRUE(pro.ok());
   ASSERT_TRUE(anti.ok());
   const PropertyTypeResult* pro_pair = pro->Find(animal, "cute");

@@ -14,7 +14,7 @@
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "text/document.h"
 #include "text/document_source.h"
 #include "util/fault.h"
@@ -82,8 +82,7 @@ class ChaosIntegrationTest : public testing::Test {
 TEST_F(ChaosIntegrationTest, AcceptanceRunSurvivesFaultsWithFullAccounting) {
   // Fault-free reference run.
   FileDocumentSource clean_source(corpus_path_);
-  auto clean = SurveyorPipeline(&world_.kb(), &world_.lexicon(), BaseConfig())
-                   .RunStreaming(clean_source);
+  auto clean = Mine(BaseConfig(), clean_source, world_.kb(), world_.lexicon());
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_GE(clean->pairs.size(), 2u);
 
@@ -93,8 +92,7 @@ TEST_F(ChaosIntegrationTest, AcceptanceRunSurvivesFaultsWithFullAccounting) {
   config.fault_spec = "doc_read:0.01,em_fit:@2";
   config.fault_seed = 1234;
   FileDocumentSource chaotic_source(corpus_path_);
-  auto chaotic = SurveyorPipeline(&world_.kb(), &world_.lexicon(), config)
-                     .RunStreaming(chaotic_source);
+  auto chaotic = Mine(config, chaotic_source, world_.kb(), world_.lexicon());
   ASSERT_TRUE(chaotic.ok()) << chaotic.status();
   ASSERT_TRUE(chaotic_source.status().ok());
 
@@ -156,8 +154,7 @@ TEST_F(ChaosIntegrationTest, CorruptLinesQuarantineInsteadOfFailingTheRun) {
   FileDocumentSourceOptions source_options;
   source_options.quarantine_corrupt = true;
   FileDocumentSource source(path, source_options);
-  auto result = SurveyorPipeline(&world_.kb(), &world_.lexicon(), BaseConfig())
-                    .RunStreaming(source);
+  auto result = Mine(BaseConfig(), source, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(source.status().ok());
 
@@ -174,8 +171,7 @@ TEST_F(ChaosIntegrationTest, CorruptLinesQuarantineInsteadOfFailingTheRun) {
 
 TEST_F(ChaosIntegrationTest, TruncatedSourceIsReportedNotSilent) {
   TruncatedSource source(&corpus_, corpus_.size() / 2);
-  auto result = SurveyorPipeline(&world_.kb(), &world_.lexicon(), BaseConfig())
-                    .RunStreaming(source);
+  auto result = Mine(BaseConfig(), source, world_.kb(), world_.lexicon());
   // The run still completes over the documents it got...
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->stats.num_documents,

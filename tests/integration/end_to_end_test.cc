@@ -12,7 +12,7 @@
 #include "corpus/worlds.h"
 #include "eval/harness.h"
 #include "eval/testcases.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "surveyor/surveyor_classifier.h"
 #include "util/math.h"
 
@@ -177,8 +177,7 @@ TEST_F(EndToEndTest, UnmentionedCitiesClassifiedNotBig) {
 TEST_F(EndToEndTest, FullPipelineStatsConsistent) {
   SurveyorConfig config;
   config.min_statements = 100;
-  SurveyorPipeline pipeline(&world_->kb(), &world_->lexicon(), config);
-  auto result = pipeline.Run(*corpus_);
+  auto result = Mine(config, *corpus_, world_->kb(), world_->lexicon());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.num_documents,
             static_cast<int64_t>(corpus_->size()));

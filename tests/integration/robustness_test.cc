@@ -9,7 +9,7 @@
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
 #include "model/em.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "text/annotator.h"
 #include "util/rng.h"
 
@@ -69,9 +69,8 @@ TEST(RobustnessTest, PipelineFullyDeterministic) {
   const auto corpus = CorpusGenerator(&world, options).Generate();
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
-  auto a = pipeline.Run(corpus);
-  auto b = pipeline.Run(corpus);
+  auto a = Mine(config, corpus, world.kb(), world.lexicon());
+  auto b = Mine(config, corpus, world.kb(), world.lexicon());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->pairs.size(), b->pairs.size());
@@ -149,9 +148,8 @@ TEST(RobustnessTest, CorpusSerializationPreservesPipelineOutput) {
 
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
-  auto a = pipeline.Run(corpus);
-  auto b = pipeline.Run(*reloaded);
+  auto a = Mine(config, corpus, world.kb(), world.lexicon());
+  auto b = Mine(config, *reloaded, world.kb(), world.lexicon());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->stats.num_statements, b->stats.num_statements);

@@ -352,6 +352,7 @@ TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
   std::mutex mutex;
   std::condition_variable cv;
   bool release = false;
+  int entered = 0;
   MetricRegistry metrics;
   HttpServerOptions options = SmallOptions();
   options.handler_threads = 1;
@@ -360,6 +361,8 @@ TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
   HttpServer server(
       [&](std::string_view, std::string_view, std::string_view) {
         std::unique_lock<std::mutex> lock(mutex);
+        ++entered;
+        cv.notify_all();
         cv.wait(lock, [&] { return release; });
         HttpResponse response;
         response.body = "done\n";
@@ -367,38 +370,53 @@ TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
       },
       options);
   ASSERT_TRUE(server.Start().ok());
-
-  RawClient blocked(server.port());   // occupies the handler thread
-  RawClient queued(server.port());    // fills the queue
-  ASSERT_TRUE(blocked.Send("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"));
-  ASSERT_TRUE(queued.Send("GET /b HTTP/1.1\r\nHost: t\r\n\r\n"));
-  // Until the first two are in place, a third could race past; poll the
-  // shed counter while retrying instead of sleeping a fixed time.
-  std::string shed_response;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    RawClient extra(server.port());
-    ASSERT_TRUE(extra.Send("GET /c HTTP/1.1\r\nHost: t\r\n\r\n"));
-    const std::string response = extra.ReadResponse();
-    if (response.find("HTTP/1.1 429") != std::string::npos) {
-      shed_response = response;
-      break;
+  auto release_handler = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      release = true;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    cv.notify_all();
+  };
+
+  // Each request is sent only once the previous one is observably in
+  // place, so the order handler -> queue -> shed is fixed: `blocked` is
+  // inside the handler (entered), then `queued` sits in the queue (depth
+  // gauge), then `extra` finds the queue at its high-water mark.
+  RawClient blocked(server.port());
+  ASSERT_TRUE(blocked.Send("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"));
+  bool handler_entered = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    handler_entered = cv.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return entered == 1; });
   }
-  ASSERT_NE(shed_response.find("HTTP/1.1 429"), std::string::npos);
+  if (!handler_entered) release_handler();
+  ASSERT_TRUE(handler_entered);
+
+  RawClient queued(server.port());
+  ASSERT_TRUE(queued.Send("GET /b HTTP/1.1\r\nHost: t\r\n\r\n"));
+  Gauge* depth = metrics.GetGauge("surveyor_http_queue_depth");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (depth->Value() < 1.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (depth->Value() != 1.0) release_handler();
+  ASSERT_EQ(depth->Value(), 1.0);
+
+  RawClient extra(server.port());
+  ASSERT_TRUE(extra.Send("GET /c HTTP/1.1\r\nHost: t\r\n\r\n"));
+  const std::string shed_response = extra.ReadResponse();
+  EXPECT_NE(shed_response.find("HTTP/1.1 429"), std::string::npos);
   EXPECT_NE(shed_response.find("Retry-After:"), std::string::npos);
   // The shed connection stays usable — admission control rejects the
   // request, not the client.
   EXPECT_NE(shed_response.find("Connection: keep-alive"),
             std::string::npos);
-  EXPECT_GE(server.shed_count(), 1);
-  EXPECT_GE(metrics.GetCounter("surveyor_http_shed_total")->Value(), 1);
+  EXPECT_EQ(server.shed_count(), 1);
+  EXPECT_EQ(metrics.GetCounter("surveyor_http_shed_total")->Value(), 1);
 
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
+  release_handler();
   EXPECT_NE(blocked.ReadResponse().find("200 OK"), std::string::npos);
   EXPECT_NE(queued.ReadResponse().find("200 OK"), std::string::npos);
   server.Stop();

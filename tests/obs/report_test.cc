@@ -11,7 +11,7 @@
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "text/document_source.h"
 
 namespace surveyor {
@@ -60,8 +60,7 @@ TEST_F(ReportTest, EmAggregateKeepsWorstFitsSortedAndBounded) {
 }
 
 TEST_F(ReportTest, RunPopulatesReport) {
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config_);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config_, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok()) << result.status();
   const RunReport& report = result->report;
 
@@ -132,8 +131,7 @@ TEST_F(ReportTest, RunPopulatesReport) {
 }
 
 TEST_F(ReportTest, CleanRunReportsZeroedDegradationSection) {
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config_);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config_, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok()) << result.status();
   const DegradationReport& degradation = result->report.degradation;
   EXPECT_FALSE(degradation.degraded);
@@ -150,12 +148,13 @@ TEST_F(ReportTest, CleanRunReportsZeroedDegradationSection) {
   EXPECT_NE(json.find("\"degraded\":false"), std::string::npos);
 }
 
+// Both Mine overloads: the in-memory corpus and the same documents as a
+// stream.
 TEST_F(ReportTest, RunAndRunStreamingDeriveIdenticalStats) {
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config_);
-  auto batch = pipeline.Run(corpus_);
+  auto batch = Mine(config_, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(batch.ok()) << batch.status();
   VectorDocumentSource source(&corpus_);
-  auto streaming = pipeline.RunStreaming(source);
+  auto streaming = Mine(config_, source, world_.kb(), world_.lexicon());
   ASSERT_TRUE(streaming.ok()) << streaming.status();
 
   const PipelineStats& a = batch->stats;
@@ -195,8 +194,7 @@ std::string Normalize(std::string json) {
 }
 
 TEST_F(ReportTest, GoldenJsonReport) {
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config_);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config_, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok()) << result.status();
   result->report.label = "tiny";
   const std::string normalized = Normalize(result->report.ToJson());

@@ -3,8 +3,8 @@
 // concurrent keep-alive clients while another client hot-swaps
 // generations through POST /v1/admin/reload — the TSan proof that the
 // event loop, the handler pool, and the generation swap are free of
-// data races, and that the /v1 surface plus its deprecation shims
-// answer correctly over a real wire.
+// data races, and that the /v1 surface answers correctly over a real
+// wire while the retired pre-/v1 paths do not.
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -214,7 +214,6 @@ TEST_F(ServingSocketTest, V1SurfaceAndShimsAnswerOverTheWire) {
   EXPECT_NE(reload.find("HTTP/1.1 200 OK"), std::string::npos) << reload;
   EXPECT_NE(reload.find("\"data\":{\"generation\":1"), std::string::npos)
       << reload;
-  EXPECT_EQ(reload.find("Deprecation:"), std::string::npos);
 
   // Query through the versioned path.
   const std::string query = client.Get("/v1/query?entity=kitten&property=cute");
@@ -231,23 +230,10 @@ TEST_F(ServingSocketTest, V1SurfaceAndShimsAnswerOverTheWire) {
             std::string::npos)
       << miss;
 
-  // The legacy paths answer identically, stamped as deprecation shims.
-  const std::string shim = client.Get("/query?entity=kitten&property=cute");
-  EXPECT_NE(shim.find("HTTP/1.1 200 OK"), std::string::npos) << shim;
-  EXPECT_NE(shim.find("\"data\":{\"entity\":\"kitten\""), std::string::npos);
-  EXPECT_NE(shim.find("Deprecation: true"), std::string::npos) << shim;
-  EXPECT_NE(shim.find("Link: </v1/query>; rel=\"successor-version\""),
-            std::string::npos)
-      << shim;
-
-  const std::string reload_shim = client.Post("/reloadz");
-  EXPECT_NE(reload_shim.find("HTTP/1.1 200 OK"), std::string::npos)
-      << reload_shim;
-  EXPECT_NE(reload_shim.find("Deprecation: true"), std::string::npos);
-  EXPECT_NE(
-      reload_shim.find("Link: </v1/admin/reload>; rel=\"successor-version\""),
-      std::string::npos)
-      << reload_shim;
+  // The pre-/v1 query shim served its one-release window and is gone.
+  EXPECT_NE(client.Get("/query?entity=kitten&property=cute")
+                .find("HTTP/1.1 404"),
+            std::string::npos);
 
   // The admin plane rides the same event loop.
   const std::string metrics = client.Get("/metrics");

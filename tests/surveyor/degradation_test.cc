@@ -10,7 +10,7 @@
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
 #include "obs/stage.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 
 namespace surveyor {
 namespace {
@@ -39,16 +39,13 @@ class DegradationTest : public testing::Test {
 
 TEST_F(DegradationTest, InjectedFitFaultDegradesOnlyTheVictimPair) {
   const SurveyorConfig clean_config = BaseConfig();
-  auto clean = SurveyorPipeline(&world_.kb(), &world_.lexicon(), clean_config)
-                   .Run(corpus_);
+  auto clean = Mine(clean_config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_GE(clean->pairs.size(), 2u);
 
   SurveyorConfig chaos_config = BaseConfig();
   chaos_config.fault_spec = "em_fit:@2";  // force the second pair to fail
-  auto degraded =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), chaos_config)
-          .Run(corpus_);
+  auto degraded = Mine(chaos_config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   ASSERT_EQ(degraded->pairs.size(), clean->pairs.size());
 
@@ -101,8 +98,7 @@ TEST_F(DegradationTest, InjectedFitFaultDegradesOnlyTheVictimPair) {
 TEST_F(DegradationTest, DegradedPairsStillEmitOpinions) {
   SurveyorConfig config = BaseConfig();
   config.fault_spec = "em_fit:@1";
-  auto result =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), config).Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok()) << result.status();
   const PropertyTypeResult& victim = result->pairs.front();
   ASSERT_TRUE(victim.degraded);
@@ -117,8 +113,7 @@ TEST_F(DegradationTest, DegradationOffMakesFitFaultsFatal) {
   SurveyorConfig config = BaseConfig();
   config.fault_spec = "em_fit:@1";
   config.degrade_failed_fits = false;
-  auto result =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), config).Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_NE(result.status().message().find("em_fit"), std::string::npos);
@@ -128,8 +123,7 @@ TEST_F(DegradationTest, ConfigErrorsStayFatalEvenWithDegradationOn) {
   SurveyorConfig config = BaseConfig();
   config.degrade_failed_fits = true;
   config.em.agreement_grid = {0.3};  // invalid: must lie in (0.5, 1)
-  auto result =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), config).Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -139,15 +133,13 @@ TEST_F(DegradationTest, StageTrackerCarriesTheDegradedFlag) {
   SurveyorConfig config = BaseConfig();
   config.stage_tracker = &tracker;
   config.fault_spec = "em_fit:@1";
-  auto degraded =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), config).Run(corpus_);
+  auto degraded = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(degraded.ok());
   EXPECT_TRUE(tracker.degraded());
 
   // A subsequent clean run clears the flag.
   config.fault_spec.clear();
-  auto clean =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), config).Run(corpus_);
+  auto clean = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(clean.ok());
   EXPECT_FALSE(tracker.degraded());
 }

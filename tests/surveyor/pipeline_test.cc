@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
+#include "corpus/worlds.h"
+#include "extraction/aggregator.h"
+#include "extraction/extractor.h"
 #include "surveyor/api.h"
 #include "text/annotator.h"
 #include "text/document_source.h"
-#include "corpus/worlds.h"
 
 namespace surveyor {
 namespace {
@@ -28,8 +30,7 @@ TEST_F(PipelineTest, EndToEndRunProducesOpinions) {
   SurveyorConfig config;
   config.min_statements = 20;
   config.num_threads = 4;
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_GT(result->stats.num_documents, 0);
@@ -53,8 +54,7 @@ TEST_F(PipelineTest, EndToEndRunProducesOpinions) {
 TEST_F(PipelineTest, OpinionsMostlyMatchGroundTruth) {
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok());
 
   int correct = 0, total = 0;
@@ -75,8 +75,7 @@ TEST_F(PipelineTest, OpinionsMostlyMatchGroundTruth) {
 TEST_F(PipelineTest, PerEntityPolaritiesAlignWithPosterior) {
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok());
   for (const PropertyTypeResult& pair : result->pairs) {
     ASSERT_EQ(pair.posterior.size(), pair.evidence.entities.size());
@@ -90,8 +89,7 @@ TEST_F(PipelineTest, PerEntityPolaritiesAlignWithPosterior) {
 TEST_F(PipelineTest, OpinionsFlattenNonNeutralOnly) {
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok());
   const auto opinions = result->Opinions();
   EXPECT_EQ(static_cast<int64_t>(opinions.size()),
@@ -111,10 +109,8 @@ TEST_F(PipelineTest, RhoThresholdControlsPairCount) {
   loose.min_statements = 5;
   SurveyorConfig strict;
   strict.min_statements = 200;
-  auto loose_result =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), loose).Run(corpus_);
-  auto strict_result =
-      SurveyorPipeline(&world_.kb(), &world_.lexicon(), strict).Run(corpus_);
+  auto loose_result = Mine(loose, corpus_, world_.kb(), world_.lexicon());
+  auto strict_result = Mine(strict, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(loose_result.ok());
   ASSERT_TRUE(strict_result.ok());
   EXPECT_GE(loose_result->stats.num_kept_property_type_pairs,
@@ -127,8 +123,8 @@ TEST_F(PipelineTest, SingleAndMultiThreadAgree) {
   single.num_threads = 1;
   SurveyorConfig multi = single;
   multi.num_threads = 8;
-  auto a = SurveyorPipeline(&world_.kb(), &world_.lexicon(), single).Run(corpus_);
-  auto b = SurveyorPipeline(&world_.kb(), &world_.lexicon(), multi).Run(corpus_);
+  auto a = Mine(single, corpus_, world_.kb(), world_.lexicon());
+  auto b = Mine(multi, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->stats.num_statements, b->stats.num_statements);
@@ -153,8 +149,7 @@ TEST_F(PipelineTest, ProvenanceLinksBackToDocuments) {
   SurveyorConfig config;
   config.min_statements = 20;
   config.max_provenance_samples = 3;
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->provenance.empty());
 
@@ -191,15 +186,14 @@ TEST_F(PipelineTest, ProvenanceLinksBackToDocuments) {
 TEST_F(PipelineTest, ProvenanceOffByDefault) {
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config);
-  auto result = pipeline.Run(corpus_);
+  auto result = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->provenance.empty());
 }
 
 TEST_F(PipelineTest, EmptyCorpusYieldsEmptyResult) {
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon());
-  auto result = pipeline.Run({});
+  auto result = Mine(SurveyorConfig(), std::vector<RawDocument>(),
+                     world_.kb(), world_.lexicon());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.num_documents, 0);
   EXPECT_EQ(result->stats.num_opinions, 0);
@@ -237,20 +231,57 @@ TEST_F(PipelineTest, EveryEntryPointSurfacesValidateVerbatim) {
       std::string(SurveyorConfig{config}.Validate().message());
   ASSERT_FALSE(expected.empty());
 
-  SurveyorPipeline pipeline(&world_.kb(), &world_.lexicon(), config);
-  const auto run = pipeline.Run(corpus_);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().message(), expected);
-
-  VectorDocumentSource source(&corpus_);
-  const auto streaming = pipeline.RunStreaming(source);
-  ASSERT_FALSE(streaming.ok());
-  EXPECT_EQ(streaming.status().message(), expected);
-
-  // The one-call facade rejects it identically.
   const auto mined = Mine(config, corpus_, world_.kb(), world_.lexicon());
   ASSERT_FALSE(mined.ok());
   EXPECT_EQ(mined.status().message(), expected);
+
+  VectorDocumentSource source(&corpus_);
+  const auto streamed = Mine(config, source, world_.kb(), world_.lexicon());
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.status().message(), expected);
+
+  const auto fitted = SurveyorPipeline(&world_.kb(), &world_.lexicon(), config)
+                          .RunFromEvidence({});
+  ASSERT_FALSE(fitted.ok());
+  EXPECT_EQ(fitted.status().message(), expected);
+}
+
+TEST_F(PipelineTest, FeedsEmDirectly) {
+  // Evidence grouped outside the pipeline plugs straight into the
+  // model-learning stage and infers exactly what Mine infers.
+  SurveyorConfig config;
+  config.min_statements = 20;
+  auto mined = Mine(config, corpus_, world_.kb(), world_.lexicon());
+  ASSERT_TRUE(mined.ok()) << mined.status();
+  ASSERT_FALSE(mined->pairs.empty());
+
+  const TextAnnotator annotator(&world_.kb(), &world_.lexicon(),
+                                config.tagger);
+  const EvidenceExtractor extractor(config.extraction);
+  EvidenceAggregator aggregator;
+  for (const RawDocument& doc : corpus_) {
+    aggregator.AddAll(extractor.ExtractFromDocument(
+        annotator.AnnotateDocument(doc.doc_id, doc.text)));
+  }
+  auto fitted = SurveyorPipeline(&world_.kb(), &world_.lexicon(), config)
+                    .RunFromEvidence(aggregator.GroupByType(
+                        world_.kb(), config.min_statements));
+  ASSERT_TRUE(fitted.ok()) << fitted.status();
+  EXPECT_GT(fitted->stats.num_opinions, 0);
+  EXPECT_EQ(fitted->stats.num_opinions, mined->stats.num_opinions);
+
+  ASSERT_EQ(fitted->pairs.size(), mined->pairs.size());
+  for (size_t p = 0; p < fitted->pairs.size(); ++p) {
+    const PropertyTypeResult& a = fitted->pairs[p];
+    const PropertyTypeResult& b = mined->pairs[p];
+    EXPECT_EQ(a.evidence.type, b.evidence.type);
+    EXPECT_EQ(a.evidence.property, b.evidence.property);
+    EXPECT_EQ(a.evidence.total_statements, b.evidence.total_statements);
+    EXPECT_EQ(a.evidence.entities, b.evidence.entities);
+    EXPECT_EQ(a.evidence.counts, b.evidence.counts);
+    EXPECT_EQ(a.posterior, b.posterior);
+    EXPECT_EQ(a.polarity, b.polarity);
+  }
 }
 
 }  // namespace

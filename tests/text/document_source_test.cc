@@ -9,7 +9,7 @@
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
-#include "surveyor/pipeline.h"
+#include "surveyor/api.h"
 #include "util/fault.h"
 
 namespace surveyor {
@@ -163,11 +163,10 @@ TEST(StreamingPipelineTest, MatchesInMemoryRun) {
 
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
 
-  auto in_memory = pipeline.Run(corpus);
+  auto in_memory = Mine(config, corpus, world.kb(), world.lexicon());
   VectorDocumentSource source(&corpus);
-  auto streamed = pipeline.RunStreaming(source);
+  auto streamed = Mine(config, source, world.kb(), world.lexicon());
   ASSERT_TRUE(in_memory.ok());
   ASSERT_TRUE(streamed.ok());
 
@@ -192,9 +191,8 @@ TEST(StreamingPipelineTest, RunsFromDiskEndToEnd) {
 
   SurveyorConfig config;
   config.min_statements = 20;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
   FileDocumentSource source(path);
-  auto result = pipeline.RunStreaming(source);
+  auto result = Mine(config, source, world.kb(), world.lexicon());
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(source.status().ok());
   EXPECT_EQ(result->stats.num_documents,
