@@ -1,10 +1,10 @@
 // Query-throughput snapshot for the serving layer (BENCH_query.json):
-// point-lookup rates through the sharded read-through cache (hot and
-// cold), batch lookups, type scans, the in-process handler path, real
+// point-lookup rates over a small hot key set and over uniformly drawn
+// cold keys, batch lookups, type scans, the in-process handler path, real
 // HTTP requests over a loopback socket, request-tracing overhead, and
 // multi-threaded scaling. Run via tools/run_bench.sh, which commits the
 // refreshed snapshot; the committed numbers are the repo's record that
-// cached point lookups sustain >= 100k/s and that default-rate tracing
+// hot point lookups sustain >= 100k/s and that default-rate tracing
 // keeps at least half the disarmed handler throughput.
 //
 //   query_bench [out.json]   (default: BENCH_query.json)
@@ -81,7 +81,7 @@ std::string EntityName(uint64_t i) {
 template <typename NextKey>
 double LookupsPerSecond(const serving::OpinionIndex& index, int iterations,
                         NextKey&& next_key) {
-  // Warm pass so the measured loop sees a steady-state cache.
+  // Warm pass so the measured loop sees warm CPU caches and allocator.
   for (int i = 0; i < iterations / 4; ++i) {
     const auto [entity, property] = next_key(i);
     (void)index.Lookup(entity, property);
@@ -97,15 +97,12 @@ double LookupsPerSecond(const serving::OpinionIndex& index, int iterations,
 int Run(const std::string& out_path) {
   const std::string path = BuildSnapshot();
 
-  serving::OpinionIndexOptions options;
-  options.cache_capacity = 8192;
-  options.cache_shards = 8;
-  serving::OpinionIndex index(options);
+  serving::OpinionIndex index;
   SURVEYOR_CHECK(index.Load(path).ok());
   const size_t num_opinions = index.generation()->snapshot().num_opinions();
 
-  // Hot: a 64-pair working set that fits every shard — the acceptance
-  // number (>= 100k/s) is this one.
+  // Hot: a 64-pair working set that stays in the CPU caches — the
+  // acceptance number (>= 100k/s) is this one.
   const double hot_per_second =
       LookupsPerSecond(index, 1 << 18, [](int i) {
         return std::pair<std::string, std::string>(
@@ -113,27 +110,13 @@ int Run(const std::string& out_path) {
             "prop" + std::to_string(i % 8));
       });
 
-  // Cold: uniform over all 48k pairs, so most lookups decode records.
+  // Cold: uniform over all 48k pairs.
   Rng rng(99);
   const double cold_per_second =
       LookupsPerSecond(index, 1 << 16, [&rng](int) {
         return std::pair<std::string, std::string>(
             EntityName(rng.UniformInt(kNumTypes * kEntitiesPerType)),
             "prop" + std::to_string(rng.UniformInt(kNumProperties)));
-      });
-
-  // Uncached: the same cold distribution with the cache disabled — the
-  // floor the cache is measured against.
-  serving::OpinionIndexOptions uncached_options;
-  uncached_options.cache_capacity = 0;
-  serving::OpinionIndex uncached(uncached_options);
-  SURVEYOR_CHECK(uncached.Load(path).ok());
-  Rng rng2(99);
-  const double uncached_per_second =
-      LookupsPerSecond(uncached, 1 << 16, [&rng2](int) {
-        return std::pair<std::string, std::string>(
-            EntityName(rng2.UniformInt(kNumTypes * kEntitiesPerType)),
-            "prop" + std::to_string(rng2.UniformInt(kNumProperties)));
       });
 
   // Batch: 64-pair batches over the hot set.
@@ -190,8 +173,6 @@ int Run(const std::string& out_path) {
                                           size_t access_log_capacity) {
     obs::MetricRegistry admin_metrics;
     serving::OpinionIndexOptions trace_options;
-    trace_options.cache_capacity = 8192;
-    trace_options.cache_shards = 8;
     trace_options.metrics = &admin_metrics;
     serving::OpinionIndex traced_index(trace_options);
     SURVEYOR_CHECK(traced_index.Load(path).ok());
@@ -204,7 +185,7 @@ int Run(const std::string& out_path) {
     obs::AdminServer server(&admin_metrics, nullptr, nullptr, admin_options);
     traced_service.Register(&server);
     constexpr int kAdminRequests = 1 << 15;
-    // Warm pass: fill the cache so the measured loop is steady-state.
+    // Warm pass so the measured loop is steady-state.
     for (int i = 0; i < kAdminRequests / 4; ++i) {
       (void)server.Handle("GET", "/v1/query?entity=" + EntityName(i % 8) +
                                      "&property=prop" + std::to_string(i % 8));
@@ -327,12 +308,10 @@ int Run(const std::string& out_path) {
       .EndObject()
       .Key("lookups_per_second")
       .BeginObject()
-      .Key("cached_hot")
+      .Key("hot")
       .Value(hot_per_second)
-      .Key("cached_cold")
+      .Key("cold")
       .Value(cold_per_second)
-      .Key("uncached")
-      .Value(uncached_per_second)
       .Key("batch")
       .Value(batch_lookups_per_second)
       .Key("concurrent_4_threads")
@@ -367,8 +346,8 @@ int Run(const std::string& out_path) {
   out << writer.str() << "\n";
   std::cout << "wrote " << out_path << ": "
             << static_cast<long long>(hot_per_second)
-            << " cached point lookups/s ("
-            << static_cast<long long>(uncached_per_second) << "/s uncached, "
+            << " hot point lookups/s ("
+            << static_cast<long long>(cold_per_second) << "/s cold, "
             << static_cast<long long>(handler_calls_per_second)
             << " handler calls/s, "
             << static_cast<long long>(http_requests_per_second)
@@ -377,7 +356,7 @@ int Run(const std::string& out_path) {
                                       traced_off_per_second)
             << "% of disarmed admin throughput at the default sample rate\n";
   if (hot_per_second < 100000) {
-    std::cerr << "query_bench: cached point lookups below the 100k/s "
+    std::cerr << "query_bench: hot point lookups below the 100k/s "
                  "acceptance floor\n";
     return 1;
   }

@@ -224,7 +224,7 @@ QueryService::QueryService(const OpinionIndex* index,
       stage_(stage),
       metrics_(metrics != nullptr ? metrics : &index->metrics()),
       options_(options) {
-  // Query latencies are cache hits in the microseconds; start the buckets
+  // Point queries answer in microseconds; start the buckets
   // at 1us and cover up to ~65ms before the overflow bucket.
   latency_ = metrics_->GetHistogram(
       "surveyor_query_latency_seconds",

@@ -129,11 +129,11 @@ Status SnapshotWriter::Add(const SnapshotOpinion& opinion) {
   if (!(opinion.posterior >= 0.0 && opinion.posterior <= 1.0)) {
     return Status::InvalidArgument("posterior must be in [0, 1]");
   }
+  SURVEYOR_RETURN_IF_ERROR(RegisterEntity(opinion.entity, opinion.type));
   Block& block = blocks_[PairKey{opinion.type, opinion.property}];
   block.degraded = block.degraded || opinion.degraded;
   block.records[opinion.entity] =
       Record{opinion.posterior, opinion.polarity};
-  entity_types_.emplace(opinion.entity, opinion.type);
   return Status::OK();
 }
 
@@ -141,9 +141,19 @@ void SnapshotWriter::AddProvenance(const std::string& entity,
                                    const std::string& type,
                                    const std::string& property,
                                    std::vector<StatementRef> refs) {
-  if (refs.empty()) return;
-  entity_types_.emplace(entity, type);
+  if (refs.empty() || !RegisterEntity(entity, type).ok()) return;
   provenance_[{entity, property}] = std::move(refs);
+}
+
+Status SnapshotWriter::RegisterEntity(const std::string& entity,
+                                      const std::string& type) {
+  const auto [it, inserted] = entity_types_.emplace(entity, type);
+  if (!inserted && it->second != type) {
+    return Status::InvalidArgument("entity '" + entity + "' is a " +
+                                   it->second + " and cannot also be a " +
+                                   type + ": snapshot names must be unique");
+  }
+  return Status::OK();
 }
 
 Status SnapshotWriter::AddResult(const PipelineResult& result,
@@ -164,8 +174,10 @@ Status SnapshotWriter::AddResult(const PipelineResult& result,
   }
   for (const auto& [key, refs] : result.provenance) {
     const Entity& entity = kb.entity(key.first);
-    AddProvenance(entity.canonical_name, kb.TypeName(entity.most_notable_type),
-                  key.second, refs);
+    const std::string& type_name = kb.TypeName(entity.most_notable_type);
+    SURVEYOR_RETURN_IF_ERROR(
+        RegisterEntity(entity.canonical_name, type_name));
+    AddProvenance(entity.canonical_name, type_name, key.second, refs);
   }
   return Status::OK();
 }

@@ -83,17 +83,24 @@ class SnapshotWriter {
   void set_label(std::string label) { label_ = std::move(label); }
 
   /// Adds one opinion; a second Add for the same (type, entity, property)
-  /// replaces the first. Neutral-polarity opinions are rejected the same
-  /// way OpinionStore::Add rejects them: they carry no decision.
+  /// replaces the first. Neutral-polarity opinions are rejected: they
+  /// carry no decision. Entities are keyed by name alone, so a name
+  /// already added under another type is InvalidArgument (the knowledge
+  /// base allows a "paris" city next to a "paris" person; the snapshot
+  /// could not tell their opinions apart).
   Status Add(const SnapshotOpinion& opinion);
 
   /// Adds supporting-statement samples for one (entity, property) pair.
+  /// Samples for a name already added under another type are dropped
+  /// rather than attached to the wrong entity; AddResult reports that
+  /// collision as InvalidArgument.
   void AddProvenance(const std::string& entity, const std::string& type,
                      const std::string& property,
                      std::vector<StatementRef> refs);
 
   /// Adds every non-neutral opinion (and any provenance samples) of a
-  /// pipeline result, resolving entity/type names through `kb`.
+  /// pipeline result, resolving entity/type names through `kb`. Fails on
+  /// the first name collision.
   Status AddResult(const PipelineResult& result, const KnowledgeBase& kb);
 
   /// Serializes the snapshot image.
@@ -116,6 +123,10 @@ class SnapshotWriter {
     /// entity name -> record; map for deterministic order.
     std::map<std::string, Record> records;
   };
+
+  /// Records `entity` under `type`; InvalidArgument if the name is
+  /// already registered under another type.
+  Status RegisterEntity(const std::string& entity, const std::string& type);
 
   std::string label_;
   std::map<PairKey, Block> blocks_;

@@ -10,7 +10,11 @@ namespace surveyor {
 
 double LogFactorial(int64_t k) {
   SURVEYOR_CHECK_GE(k, 0);
-  return std::lgamma(static_cast<double>(k) + 1.0);
+  // lgamma_r, not std::lgamma: lgamma also stores the sign of Γ in the
+  // global `signgam`, a data race when per-pair EM fits run in parallel.
+  // Both return the same value (glibc computes lgamma through lgamma_r).
+  int sign = 0;
+  return lgamma_r(static_cast<double>(k) + 1.0, &sign);
 }
 
 double SafeLog(double x) {

@@ -6,7 +6,7 @@
 
 namespace surveyor {
 
-/// Natural log of k! (via lgamma).
+/// Natural log of k! (via lgamma_r; thread-safe).
 double LogFactorial(int64_t k);
 
 /// Log of the Poisson pmf: k * log(lambda) - lambda - log(k!).

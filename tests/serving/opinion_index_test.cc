@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "kb/knowledge_base.h"
 #include "serving/snapshot.h"
-#include "surveyor/opinion_store.h"
 #include "util/fault.h"
 #include "util/status.h"
 
@@ -57,9 +55,9 @@ std::string WriteTestSnapshot(const std::string& name) {
 }
 
 /// Disarms environment-armed chaos faults (the CI chaos job) for the
-/// test's scope: these tests assert exact cache counters and load
-/// behavior. The fault paths are exercised explicitly by the tests that
-/// arm their own ScopedFaults.
+/// test's scope: these tests assert exact counters and load behavior.
+/// The fault paths are exercised explicitly by the tests that arm their
+/// own ScopedFaults.
 class OpinionIndexTest : public testing::Test {
  protected:
   ScopedFaults disarm_{""};
@@ -90,42 +88,17 @@ TEST_F(OpinionIndexTest, LookupBeforeLoadIsFailedPrecondition) {
             StatusCode::kFailedPrecondition);
 }
 
-// The regression at the heart of satellite (c): the offline store and the
-// online index must agree that BOTH miss shapes — unknown entity, and
-// known entity with no opinion on the property — are kNotFound, so
-// callers can swap one for the other.
-TEST_F(OpinionIndexTest, NotFoundSemanticsMatchOpinionStore) {
-  KnowledgeBase kb;
-  const TypeId animal = kb.AddType("animal");
-  const EntityId kitten = kb.AddEntity("kitten", animal).value();
-  const EntityId ghost = kb.AddEntity("ghost", animal).value();
-
-  OpinionStore store(&kb);
-  PairOpinion mined;
-  mined.entity = kitten;
-  mined.type = animal;
-  mined.property = "cute";
-  mined.probability = 0.97;
-  mined.polarity = Polarity::kPositive;
-  store.Add(mined);
-
+// Both miss shapes — unknown entity, and known entity with no opinion on
+// the property — are kNotFound; the messages tell them apart.
+TEST_F(OpinionIndexTest, NotFoundCoversUnknownEntityAndMissingProperty) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("semantics.surv")).ok());
 
-  // Known entity, no opinion on the property.
-  EXPECT_EQ(store.Lookup(kitten, "haunted").status().code(),
-            StatusCode::kNotFound);
   EXPECT_EQ(index.Lookup("kitten", "haunted").status().code(),
-            StatusCode::kNotFound);
-
-  // Entity with no opinions at all (the store's closest analog of an
-  // unknown name is an id it holds nothing for).
-  EXPECT_EQ(store.Lookup(ghost, "cute").status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(index.Lookup("ghost", "cute").status().code(),
             StatusCode::kNotFound);
 
-  // The index distinguishes the two cases in the message for operators.
   EXPECT_NE(index.Lookup("ghost", "cute").status().message().find(
                 "unknown entity"),
             std::string::npos);
@@ -173,44 +146,40 @@ TEST_F(OpinionIndexTest, PrefixScanIsSortedAndCaseInsensitive) {
   EXPECT_TRUE(index.PrefixScan("zz").empty());
 }
 
-TEST_F(OpinionIndexTest, CacheCountsHitsMissesAndEvictions) {
-  OpinionIndexOptions options;
-  options.cache_capacity = 1;
-  options.cache_shards = 1;
-  OpinionIndex index(options);
-  ASSERT_TRUE(index.Load(WriteTestSnapshot("cache.surv")).ok());
-  obs::MetricRegistry& metrics = index.metrics();
-  auto* hits = metrics.GetCounter("surveyor_query_cache_hits_total");
-  auto* misses = metrics.GetCounter("surveyor_query_cache_misses_total");
-  auto* evictions = metrics.GetCounter("surveyor_query_cache_evictions_total");
+TEST_F(OpinionIndexTest, PropertiesOfSortsAffirmedFirst) {
+  SnapshotWriter writer;
+  ASSERT_TRUE(writer
+                  .Add(MakeOpinion("San Francisco", "city", "calm", 0.01,
+                                   Polarity::kNegative))
+                  .ok());
+  ASSERT_TRUE(writer
+                  .Add(MakeOpinion("San Francisco", "city", "big", 0.97,
+                                   Polarity::kPositive))
+                  .ok());
+  ASSERT_TRUE(writer
+                  .Add(MakeOpinion("San Francisco", "city", "cheap", 0.2,
+                                   Polarity::kNegative))
+                  .ok());
+  ASSERT_TRUE(writer
+                  .Add(MakeOpinion("Palo Alto", "city", "quiet", 0.9,
+                                   Polarity::kPositive))
+                  .ok());
+  const std::string path = testing::TempDir() + "/profile.surv";
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
 
-  ASSERT_TRUE(index.Lookup("kitten", "cute").ok());  // miss, fills the slot
-  EXPECT_EQ(misses->Value(), 1);
-  EXPECT_EQ(hits->Value(), 0);
-
-  ASSERT_TRUE(index.Lookup("kitten", "cute").ok());  // hit
-  EXPECT_EQ(hits->Value(), 1);
-
-  ASSERT_TRUE(index.Lookup("koala", "cute").ok());  // miss, evicts kitten
-  EXPECT_EQ(misses->Value(), 2);
-  EXPECT_EQ(evictions->Value(), 1);
-
-  ASSERT_TRUE(index.Lookup("kitten", "cute").ok());  // miss again
-  EXPECT_EQ(misses->Value(), 3);
-}
-
-TEST_F(OpinionIndexTest, DisabledCacheStillAnswers) {
-  OpinionIndexOptions options;
-  options.cache_capacity = 0;
-  OpinionIndex index(options);
-  ASSERT_TRUE(index.Load(WriteTestSnapshot("nocache.surv")).ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(index.Lookup("kitten", "cute").ok());
-  }
-  EXPECT_EQ(index.metrics()
-                .GetCounter("surveyor_query_cache_hits_total")
-                ->Value(),
-            0);
+  OpinionIndex index;
+  EXPECT_TRUE(index.PropertiesOf("san francisco").empty());  // not loaded
+  ASSERT_TRUE(index.Load(path).ok());
+  const auto profile = index.PropertiesOf("SAN FRANCISCO");
+  ASSERT_EQ(profile.size(), 3u);
+  EXPECT_EQ(profile[0].property, "big");
+  EXPECT_EQ(profile[0].entity, "San Francisco");
+  EXPECT_EQ(profile[0].type, "city");
+  // Then negatives by confidence (distance from 1/2).
+  EXPECT_EQ(profile[1].property, "calm");
+  EXPECT_EQ(profile[2].property, "cheap");
+  EXPECT_EQ(index.PropertiesOf("palo alto").size(), 1u);
+  EXPECT_TRUE(index.PropertiesOf("mountain view").empty());
 }
 
 TEST_F(OpinionIndexTest, FailedLoadKeepsServingThePreviousSnapshot) {
@@ -273,28 +242,9 @@ TEST_F(OpinionIndexTest, RetriesAbsorbTransientSnapshotReadFaults) {
   EXPECT_TRUE(index.Load(path).ok());
 }
 
-TEST_F(OpinionIndexTest, QueryCacheFaultForcesMissesButKeepsAnswersCorrect) {
-  OpinionIndex index;
-  ASSERT_TRUE(index.Load(WriteTestSnapshot("cachefault.surv")).ok());
-  ScopedFaults faults("query_cache:1");
-  for (int i = 0; i < 3; ++i) {
-    const auto opinion = index.Lookup("kitten", "cute");
-    ASSERT_TRUE(opinion.ok());
-    EXPECT_DOUBLE_EQ(opinion->posterior, 0.97);
-  }
-  // Every lookup bypassed the cache: correctness preserved, no hits.
-  EXPECT_EQ(index.metrics()
-                .GetCounter("surveyor_query_cache_hits_total")
-                ->Value(),
-            0);
-}
-
-// Hammer the read-through cache from many threads; run under TSan in CI.
+// Hammer lookups from many threads; run under TSan in CI.
 TEST_F(OpinionIndexTest, ConcurrentLookupsAreSafe) {
-  OpinionIndexOptions options;
-  options.cache_capacity = 2;  // tiny, to force constant eviction races
-  options.cache_shards = 2;
-  OpinionIndex index(options);
+  OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("hammer.surv")).ok());
 
   const std::vector<std::pair<std::string, std::string>> queries = {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "kb/knowledge_base.h"
 #include "util/fault.h"
 #include "util/status.h"
 
@@ -68,7 +69,7 @@ class SnapshotTest : public testing::Test {
 
 TEST(SnapshotWriterTest, RejectsUnusableOpinions) {
   SnapshotWriter writer;
-  // Neutral opinions carry no decision — same contract as OpinionStore.
+  // Neutral opinions carry no decision.
   EXPECT_EQ(writer
                 .Add(MakeOpinion("kitten", "animal", "cute", 0.5,
                                  Polarity::kNeutral))
@@ -83,6 +84,79 @@ TEST(SnapshotWriterTest, RejectsUnusableOpinions) {
                 .Add(MakeOpinion("kitten", "animal", "cute", 1.5,
                                  Polarity::kPositive))
                 .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The snapshot keys entities by name, so one name under two types (the
+// knowledge base accepts a "paris" city next to a "paris" person) would
+// let a lookup answer for the wrong entity. The writer refuses it.
+TEST(SnapshotWriterTest, RejectsOneNameUnderTwoTypes) {
+  SnapshotWriter writer;
+  ASSERT_TRUE(writer
+                  .Add(MakeOpinion("paris", "city", "big", 0.9,
+                                   Polarity::kPositive))
+                  .ok());
+  // Same name, same type: another property of the same entity, and a
+  // second Add for a pair replaces the first.
+  EXPECT_TRUE(writer
+                  .Add(MakeOpinion("paris", "city", "old", 0.8,
+                                   Polarity::kPositive))
+                  .ok());
+  EXPECT_TRUE(writer
+                  .Add(MakeOpinion("paris", "city", "big", 0.1,
+                                   Polarity::kNegative))
+                  .ok());
+  EXPECT_EQ(writer
+                .Add(MakeOpinion("paris", "person", "tall", 0.7,
+                                 Polarity::kPositive))
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Colliding provenance is dropped, never attached to the city.
+  writer.AddProvenance("paris", "person", "tall", {{7, 0, true}});
+
+  const std::string path = WriteTempFile("collision.surv", writer.Serialize());
+  Snapshot snapshot;
+  ASSERT_TRUE(snapshot.Open(path).ok());
+  EXPECT_EQ(snapshot.num_opinions(), 2u);
+  EXPECT_EQ(snapshot.num_types(), 1u);
+  EXPECT_TRUE(snapshot.provenance().empty());
+  for (const Snapshot::BlockView& block : snapshot.blocks()) {
+    if (snapshot.PropertyName(block.property_index) != "big") continue;
+    ASSERT_EQ(block.record_count, 1u);
+    EXPECT_EQ(Snapshot::ReadRecord(block.records, 0).polarity,
+              Polarity::kNegative);
+  }
+}
+
+TEST(SnapshotWriterTest, AddResultRejectsOneNameUnderTwoTypes) {
+  KnowledgeBase kb;
+  const TypeId city = kb.AddType("city");
+  const TypeId person = kb.AddType("person");
+  const EntityId paris_city = kb.AddEntity("paris", city).value();
+  const EntityId paris_person = kb.AddEntity("paris", person).value();
+
+  const auto pair = [](TypeId type, EntityId entity, const char* property) {
+    PropertyTypeResult result;
+    result.evidence.type = type;
+    result.evidence.property = property;
+    result.evidence.entities = {entity};
+    result.posterior = {0.9};
+    result.polarity = {Polarity::kPositive};
+    return result;
+  };
+  PipelineResult opinions;
+  opinions.pairs.push_back(pair(city, paris_city, "big"));
+  opinions.pairs.push_back(pair(person, paris_person, "tall"));
+  SnapshotWriter writer;
+  EXPECT_EQ(writer.AddResult(opinions, kb).code(),
+            StatusCode::kInvalidArgument);
+
+  // The collision is caught through provenance alone as well.
+  PipelineResult with_provenance;
+  with_provenance.pairs.push_back(pair(city, paris_city, "big"));
+  with_provenance.provenance[{paris_person, "tall"}] = {{7, 0, true}};
+  SnapshotWriter provenance_writer;
+  EXPECT_EQ(provenance_writer.AddResult(with_provenance, kb).code(),
             StatusCode::kInvalidArgument);
 }
 
