@@ -1,37 +1,98 @@
 #include "serving/opinion_index.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 
 #include "obs/request_trace.h"
 #include "obs/trace.h"
 #include "util/fault.h"
 #include "util/hotpath.h"
-#include "util/string_util.h"
 
 namespace surveyor {
 namespace serving {
 namespace {
 
-uint64_t PairKey(uint32_t entity_index, uint32_t property_index) {
-  return (static_cast<uint64_t>(entity_index) << 32) | property_index;
+/// ASCII case fold, what std::tolower does in the "C" locale the process
+/// runs in (the knowledge base lower-cases names the same way).
+unsigned char Fold(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  return (u >= 'A' && u <= 'Z') ? static_cast<unsigned char>(u + 32) : u;
 }
 
-/// Lower-cases into a reused thread-local buffer. Point lookups are the
-/// serving fast path; after warm-up this never allocates. The reference
-/// is valid until the next call on the same thread.
-const std::string& LowerScratch(std::string_view text) {
-  thread_local std::string scratch;
-  scratch.resize(text.size());
-  for (size_t i = 0; i < text.size(); ++i) {
-    scratch[i] =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(text[i])));
+/// FNV-1a over the folded bytes, then a multiply-xorshift so the low bits
+/// that pick a slot depend on every byte.
+uint64_t HashIgnoringCase(std::string_view text) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) h = (h ^ Fold(c)) * 0x100000001b3ULL;
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 32);
+}
+
+bool EqualsIgnoringCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (Fold(a[i]) != Fold(b[i])) return false;
   }
-  return scratch;
+  return true;
+}
+
+/// Byte order of the lower-cased strings (std::string's order).
+int CompareIgnoringCase(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (Fold(a[i]) != Fold(b[i])) return Fold(a[i]) < Fold(b[i]) ? -1 : 1;
+  }
+  return a.size() == b.size() ? 0 : (a.size() < b.size() ? -1 : 1);
 }
 
 }  // namespace
+
+template <typename NameOf>
+void NameIndex::Build(uint32_t count, const NameOf& name_of) {
+  size_t capacity = 8;
+  while (capacity < 2 * static_cast<size_t>(count)) capacity *= 2;
+  slots_.assign(capacity, kNone);
+  mask_ = capacity - 1;
+  for (uint32_t i = 0; i < count; ++i) {
+    const std::string_view name = name_of(i);
+    for (size_t slot = HashIgnoringCase(name) & mask_;;
+         slot = (slot + 1) & mask_) {
+      if (slots_[slot] == kNone ||
+          EqualsIgnoringCase(name_of(slots_[slot]), name)) {
+        slots_[slot] = i;
+        break;
+      }
+    }
+  }
+}
+
+template <typename NameOf>
+uint32_t NameIndex::Find(std::string_view name, const NameOf& name_of) const {
+  // At most half full, so every probe sequence reaches an empty slot.
+  for (size_t slot = HashIgnoringCase(name) & mask_;;
+       slot = (slot + 1) & mask_) {
+    const uint32_t index = slots_[slot];
+    if (index == kNone || EqualsIgnoringCase(name_of(index), name)) {
+      return index;
+    }
+  }
+}
+
+uint32_t LoadedGeneration::FindEntity(std::string_view name) const {
+  return entities_.Find(
+      name, [this](uint32_t i) { return snapshot_.EntityName(i); });
+}
+
+uint32_t LoadedGeneration::FindProperty(std::string_view name) const {
+  return properties_.Find(
+      name, [this](uint32_t i) { return snapshot_.PropertyName(i); });
+}
+
+uint32_t LoadedGeneration::FindType(std::string_view name) const {
+  return types_.Find(name,
+                     [this](uint32_t i) { return snapshot_.TypeName(i); });
+}
 
 OpinionIndex::OpinionIndex(OpinionIndexOptions options)
     : options_(std::move(options)) {
@@ -83,48 +144,17 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
 
   auto generation = std::make_shared<LoadedGeneration>();
   generation->id_ = generation_id;
-  generation->entity_by_name_.reserve(snapshot.num_entities());
-  generation->sorted_entities_.reserve(snapshot.num_entities());
-  for (uint32_t i = 0; i < snapshot.num_entities(); ++i) {
-    std::string name = ToLower(snapshot.EntityName(i));
-    generation->entity_by_name_[name] = i;
-    generation->sorted_entities_.emplace_back(std::move(name), i);
-  }
-  std::sort(generation->sorted_entities_.begin(),
-            generation->sorted_entities_.end());
-
-  generation->property_by_name_.reserve(snapshot.num_properties());
-  for (uint32_t i = 0; i < snapshot.num_properties(); ++i) {
-    generation->property_by_name_[ToLower(snapshot.PropertyName(i))] = i;
-  }
-  generation->type_by_name_.reserve(snapshot.num_types());
-  for (uint32_t i = 0; i < snapshot.num_types(); ++i) {
-    generation->type_by_name_[ToLower(snapshot.TypeName(i))] = i;
-  }
-
-  generation->records_by_pair_.reserve(snapshot.num_opinions());
-  generation->blocks_by_type_.resize(snapshot.num_types());
-  const auto& blocks = snapshot.blocks();
-  for (uint32_t b = 0; b < blocks.size(); ++b) {
-    generation->blocks_by_type_[blocks[b].type_index].push_back(b);
-    for (uint32_t r = 0; r < blocks[b].record_count; ++r) {
-      const Snapshot::RecordView record =
-          Snapshot::ReadRecord(blocks[b].records, r);
-      generation->records_by_pair_[PairKey(
-          record.entity_index, blocks[b].property_index)] =
-          LoadedGeneration::RecordLoc{b, r};
-    }
-  }
-
-  const auto& provenance = snapshot.provenance();
-  generation->provenance_by_pair_.reserve(provenance.size());
-  for (uint32_t i = 0; i < provenance.size(); ++i) {
-    generation->provenance_by_pair_[PairKey(provenance[i].entity_index,
-                                            provenance[i].property_index)] =
-        i;
-  }
-
   generation->snapshot_ = std::move(snapshot);
+  const Snapshot& mapped = generation->snapshot_;
+  generation->entities_.Build(
+      static_cast<uint32_t>(mapped.num_entities()),
+      [&mapped](uint32_t i) { return mapped.EntityName(i); });
+  generation->properties_.Build(
+      static_cast<uint32_t>(mapped.num_properties()),
+      [&mapped](uint32_t i) { return mapped.PropertyName(i); });
+  generation->types_.Build(
+      static_cast<uint32_t>(mapped.num_types()),
+      [&mapped](uint32_t i) { return mapped.TypeName(i); });
   generation->loaded_at_ = std::chrono::steady_clock::now();
 
   // The "generation_swap" fault simulates a load that dies after all the
@@ -135,31 +165,33 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
         Status::Internal("injected fault at generation_swap: " + path));
   }
 
-  // The swap: one pointer assignment under current_mutex_. In-flight
+  // The swap: one pointer exchange under current_mutex_. In-flight
   // queries finish on the generation they pinned; its snapshot and
-  // indexes die with the last reference.
+  // indexes die with the last reference. When no query pins the retired
+  // generation, this function holds that last reference, and drops it
+  // only after unlocking, so no reader waits on the teardown.
+  GenerationPtr retired;
   {
     MutexLock lock(current_mutex_);
-    current_ = std::move(generation);
+    retired = std::exchange(current_, generation);
   }
+  retired.reset();
   swaps_->Increment();
-  const GenerationPtr published = this->generation();
-  generation_gauge_->Set(static_cast<double>(published->id()));
+  generation_gauge_->Set(static_cast<double>(generation->id()));
   metrics_->GetGauge("surveyor_snapshot_opinions")
-      ->Set(static_cast<double>(published->snapshot().num_opinions()));
+      ->Set(static_cast<double>(mapped.num_opinions()));
   metrics_->GetGauge("surveyor_snapshot_entities")
-      ->Set(static_cast<double>(published->snapshot().num_entities()));
+      ->Set(static_cast<double>(mapped.num_entities()));
   return Status::OK();
 }
 
-ServedOpinion OpinionIndex::Materialize(
-    const LoadedGeneration& generation,
-    const LoadedGeneration::RecordLoc& loc) const {
+ServedOpinion OpinionIndex::Materialize(const LoadedGeneration& generation,
+                                        const Snapshot::BlockView& block,
+                                        uint32_t record_index) const {
   SURVEYOR_SPAN("snapshot.materialize");
   const Snapshot& snapshot = generation.snapshot_;
-  const Snapshot::BlockView& block = snapshot.blocks()[loc.block];
   const Snapshot::RecordView record =
-      Snapshot::ReadRecord(block.records, loc.record);
+      Snapshot::ReadRecord(block.records, record_index);
   ServedOpinion opinion;
   opinion.entity = std::string(snapshot.EntityName(record.entity_index));
   opinion.type = std::string(snapshot.TypeName(block.type_index));
@@ -167,11 +199,8 @@ ServedOpinion OpinionIndex::Materialize(
   opinion.posterior = record.posterior;
   opinion.polarity = record.polarity;
   opinion.degraded = block.degraded;
-  auto prov = generation.provenance_by_pair_.find(
-      PairKey(record.entity_index, block.property_index));
-  if (prov != generation.provenance_by_pair_.end()) {
-    opinion.provenance = snapshot.provenance()[prov->second].refs;
-  }
+  opinion.provenance =
+      snapshot.Provenance(record.entity_index, block.property_index);
   return opinion;
 }
 
@@ -191,27 +220,28 @@ SURVEYOR_HOT_FUNCTION
 StatusOr<ServedOpinion> OpinionIndex::LookupIn(
     const LoadedGeneration& generation, std::string_view entity,
     std::string_view property) const {
-  // The scratch is reused for the property find below; only the mapped
-  // index survives each find, never the key string.
-  auto entity_it = generation.entity_by_name_.find(LowerScratch(entity));
-  if (entity_it == generation.entity_by_name_.end()) {
+  // Two name probes, then the entity's (type, property) block and a
+  // binary search of its records, all in the mapping.
+  const Snapshot& snapshot = generation.snapshot_;
+  const uint32_t entity_index = generation.FindEntity(entity);
+  if (entity_index == NameIndex::kNone) {
     not_found_->Increment();
     return Status::NotFound("unknown entity '" + std::string(entity) + "'");
   }
-  auto property_it = generation.property_by_name_.find(LowerScratch(property));
-  if (property_it == generation.property_by_name_.end()) {
+  const uint32_t property_index = generation.FindProperty(property);
+  const Snapshot::BlockView* block =
+      property_index == NameIndex::kNone
+          ? nullptr
+          : snapshot.FindBlock(snapshot.EntityType(entity_index),
+                               property_index);
+  const int64_t record =
+      block == nullptr ? -1 : Snapshot::FindRecord(*block, entity_index);
+  if (record < 0) {
     not_found_->Increment();
     return Status::NotFound("no opinion for entity '" + std::string(entity) +
                             "' property '" + std::string(property) + "'");
   }
-  auto record_it = generation.records_by_pair_.find(
-      PairKey(entity_it->second, property_it->second));
-  if (record_it == generation.records_by_pair_.end()) {
-    not_found_->Increment();
-    return Status::NotFound("no opinion for entity '" + std::string(entity) +
-                            "' property '" + std::string(property) + "'");
-  }
-  return Materialize(generation, record_it->second);
+  return Materialize(generation, *block, static_cast<uint32_t>(record));
 }
 
 std::vector<StatusOr<ServedOpinion>> OpinionIndex::BatchLookup(
@@ -240,22 +270,20 @@ std::vector<ServedOpinion> OpinionIndex::QueryType(std::string_view type,
   const GenerationPtr pinned = this->generation();
   if (pinned == nullptr) return out;
   const LoadedGeneration& generation = *pinned;
-  auto type_it = generation.type_by_name_.find(ToLower(type));
-  auto property_it = generation.property_by_name_.find(ToLower(property));
-  if (type_it == generation.type_by_name_.end() ||
-      property_it == generation.property_by_name_.end()) {
+  const uint32_t type_index = generation.FindType(type);
+  const uint32_t property_index = generation.FindProperty(property);
+  if (type_index == NameIndex::kNone || property_index == NameIndex::kNone) {
     return out;
   }
-  for (uint32_t b : generation.blocks_by_type_[type_it->second]) {
-    const Snapshot::BlockView& block = generation.snapshot_.blocks()[b];
-    if (block.property_index != property_it->second) continue;
-    for (uint32_t r = 0; r < block.record_count; ++r) {
-      const Snapshot::RecordView record =
-          Snapshot::ReadRecord(block.records, r);
-      if (record.polarity != Polarity::kPositive) continue;
-      out.push_back(
-          Materialize(generation, LoadedGeneration::RecordLoc{b, r}));
+  const Snapshot::BlockView* block =
+      generation.snapshot_.FindBlock(type_index, property_index);
+  if (block == nullptr) return out;
+  for (uint32_t r = 0; r < block->record_count; ++r) {
+    if (Snapshot::ReadRecord(block->records, r).polarity !=
+        Polarity::kPositive) {
+      continue;
     }
+    out.push_back(Materialize(generation, *block, r));
   }
   std::sort(out.begin(), out.end(),
             [](const ServedOpinion& a, const ServedOpinion& b) {
@@ -272,15 +300,16 @@ std::vector<ServedOpinion> OpinionIndex::PropertiesOf(
   const GenerationPtr pinned = this->generation();
   if (pinned == nullptr) return out;
   const LoadedGeneration& generation = *pinned;
-  auto entity_it = generation.entity_by_name_.find(ToLower(entity));
-  if (entity_it == generation.entity_by_name_.end()) return out;
-  const uint32_t num_properties =
-      static_cast<uint32_t>(generation.snapshot_.num_properties());
-  for (uint32_t p = 0; p < num_properties; ++p) {
-    auto record_it =
-        generation.records_by_pair_.find(PairKey(entity_it->second, p));
-    if (record_it == generation.records_by_pair_.end()) continue;
-    out.push_back(Materialize(generation, record_it->second));
+  const uint32_t entity_index = generation.FindEntity(entity);
+  if (entity_index == NameIndex::kNone) return out;
+  const Snapshot& snapshot = generation.snapshot_;
+  // Every record of an entity sits in a block of its type.
+  for (const Snapshot::BlockView& block :
+       snapshot.TypeBlocks(snapshot.EntityType(entity_index))) {
+    const int64_t record = Snapshot::FindRecord(block, entity_index);
+    if (record < 0) continue;
+    out.push_back(
+        Materialize(generation, block, static_cast<uint32_t>(record)));
   }
   std::sort(out.begin(), out.end(),
             [](const ServedOpinion& a, const ServedOpinion& b) {
@@ -300,17 +329,27 @@ std::vector<std::string> OpinionIndex::PrefixScan(std::string_view prefix,
   std::vector<std::string> out;
   const GenerationPtr pinned = this->generation();
   if (pinned == nullptr) return out;
-  const LoadedGeneration& generation = *pinned;
-  const std::string needle = ToLower(prefix);
-  auto it = std::lower_bound(
-      generation.sorted_entities_.begin(), generation.sorted_entities_.end(),
-      needle,
-      [](const auto& entry, const std::string& p) { return entry.first < p; });
-  for (; it != generation.sorted_entities_.end(); ++it) {
-    if (it->first.compare(0, needle.size(), needle) != 0) break;
-    out.emplace_back(generation.snapshot_.EntityName(it->second));
-    if (limit > 0 && out.size() >= limit) break;
+  const Snapshot& snapshot = pinned->snapshot_;
+  // One pass over the entity table; only the matches are sorted, by
+  // lower-cased name and then table index.
+  std::vector<uint32_t> matches;
+  const uint32_t num_entities = static_cast<uint32_t>(snapshot.num_entities());
+  for (uint32_t i = 0; i < num_entities; ++i) {
+    const std::string_view name = snapshot.EntityName(i);
+    if (name.size() >= prefix.size() &&
+        EqualsIgnoringCase(name.substr(0, prefix.size()), prefix)) {
+      matches.push_back(i);
+    }
   }
+  std::sort(matches.begin(), matches.end(),
+            [&snapshot](uint32_t a, uint32_t b) {
+              const int order = CompareIgnoringCase(snapshot.EntityName(a),
+                                                    snapshot.EntityName(b));
+              return order != 0 ? order < 0 : a < b;
+            });
+  if (limit > 0 && matches.size() > limit) matches.resize(limit);
+  out.reserve(matches.size());
+  for (const uint32_t i : matches) out.emplace_back(snapshot.EntityName(i));
   return out;
 }
 

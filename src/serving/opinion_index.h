@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,12 +42,35 @@ struct OpinionIndexOptions {
   RetryPolicy retry;
 };
 
+/// Case-insensitive open-addressing index over one of a snapshot's name
+/// tables. Slots hold table indices only; a probe hashes the query
+/// case-insensitively and compares it against the names in the mapping,
+/// so no name is copied at load or at query time.
+class NameIndex {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// Indexes names 0..count-1 as returned by `name_of(i)`. Among names
+  /// equal up to case, the highest index wins.
+  template <typename NameOf>
+  void Build(uint32_t count, const NameOf& name_of);
+
+  /// Table index of `name` (any case), or kNone.
+  template <typename NameOf>
+  uint32_t Find(std::string_view name, const NameOf& name_of) const;
+
+ private:
+  /// Power-of-two table at most half full; kNone marks an empty slot.
+  std::vector<uint32_t> slots_;
+  size_t mask_ = 0;
+};
+
 /// The complete post-Load state of one snapshot generation: the mapped
-/// snapshot and every derived name index. Immutable once published,
-/// shared out by std::shared_ptr so in-flight queries pin the generation
-/// they started on while a newer one swaps in — RCU with shared_ptr as
-/// the grace period. Every answer is decoded from the pinned snapshot, so
-/// a hot-swap can never serve an answer from a previous one.
+/// snapshot and its three name indexes. Immutable once published, shared
+/// out by std::shared_ptr so in-flight queries pin the generation they
+/// started on while a newer one swaps in — RCU with shared_ptr as the
+/// grace period. Every answer is decoded from the pinned snapshot, so a
+/// hot-swap can never serve an answer from a previous one.
 class LoadedGeneration {
  public:
   LoadedGeneration() = default;
@@ -72,25 +94,15 @@ class LoadedGeneration {
  private:
   friend class OpinionIndex;
 
-  struct RecordLoc {
-    uint32_t block = 0;
-    uint32_t record = 0;
-  };
+  uint32_t FindEntity(std::string_view name) const;
+  uint32_t FindProperty(std::string_view name) const;
+  uint32_t FindType(std::string_view name) const;
 
   uint64_t id_ = 0;
   Snapshot snapshot_;
-  /// lowercased name -> table index.
-  std::unordered_map<std::string, uint32_t> entity_by_name_;
-  std::unordered_map<std::string, uint32_t> property_by_name_;
-  std::unordered_map<std::string, uint32_t> type_by_name_;
-  /// (entity_index << 32 | property_index) -> record location.
-  std::unordered_map<uint64_t, RecordLoc> records_by_pair_;
-  /// Same key -> index into snapshot_.provenance().
-  std::unordered_map<uint64_t, uint32_t> provenance_by_pair_;
-  /// type index -> blocks of that type.
-  std::vector<std::vector<uint32_t>> blocks_by_type_;
-  /// Lowercased entity names, sorted, paired with their table index.
-  std::vector<std::pair<std::string, uint32_t>> sorted_entities_;
+  NameIndex entities_;
+  NameIndex properties_;
+  NameIndex types_;
   std::chrono::steady_clock::time_point loaded_at_;
 };
 
@@ -183,7 +195,8 @@ class OpinionIndex {
 
  private:
   ServedOpinion Materialize(const LoadedGeneration& generation,
-                            const LoadedGeneration::RecordLoc& loc) const;
+                            const Snapshot::BlockView& block,
+                            uint32_t record) const;
   StatusOr<ServedOpinion> LookupIn(const LoadedGeneration& generation,
                                    std::string_view entity,
                                    std::string_view property) const;

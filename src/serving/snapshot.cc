@@ -1,5 +1,6 @@
 #include "serving/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -17,6 +18,7 @@ constexpr size_t kFileHeaderSize = 32;
 constexpr size_t kSectionEntrySize = 24;
 constexpr size_t kBlockHeaderSize = 24;
 constexpr size_t kRecordSize = 16;
+constexpr size_t kProvHeaderSize = 16;
 constexpr size_t kProvRefSize = 16;
 /// Version 1 writes six sections; anything larger than this in a header is
 /// a corrupt or hostile file, not a future format (those bump the version).
@@ -48,18 +50,21 @@ void PadTo8(std::string* out) {
   while (out->size() % 8 != 0) out->push_back('\0');
 }
 
+/// Little-endian loads: one unaligned load on little-endian hosts.
 uint32_t DecodeU32(const char* p) {
   uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
   }
   return v;
 }
 
 uint64_t DecodeU64(const char* p) {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
   return v;
 }
@@ -455,104 +460,206 @@ Status Snapshot::Validate(std::string_view file) {
     }
   }
 
-  // --- opinion blocks ---------------------------------------------------
-  {
-    const std::string_view body = payloads[kSectionOpinions];
-    Cursor c(body);
-    uint32_t block_count = 0, pad = 0;
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block_count));
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
-    if (block_count > body.size()) {
-      return Status::InvalidArgument("snapshot block count too large");
-    }
-    blocks_.reserve(block_count);
-    uint64_t total_records = 0;
-    for (uint32_t i = 0; i < block_count; ++i) {
-      BlockView block;
-      uint32_t degraded = 0;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.type_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.property_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&degraded));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.record_count));
-      uint64_t record_offset = 0;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU64(&record_offset));
-      block.degraded = degraded != 0;
-      if (block.type_index >= types_.size() ||
-          block.property_index >= properties_.size()) {
-        return Status::InvalidArgument(
-            "snapshot block references beyond its string tables");
-      }
-      if (record_offset > body.size() ||
-          static_cast<uint64_t>(block.record_count) * kRecordSize >
-              body.size() - record_offset) {
-        return Status::InvalidArgument("snapshot block records out of bounds");
-      }
-      block.records = body.data() + record_offset;
-      total_records += block.record_count;
-      blocks_.push_back(block);
-    }
-    for (const BlockView& block : blocks_) {
-      for (uint32_t i = 0; i < block.record_count; ++i) {
-        const RecordView record = ReadRecord(block.records, i);
-        if (record.entity_index >= entities_.size()) {
-          return Status::InvalidArgument(
-              "snapshot record references beyond the entity table");
-        }
-        if (record.polarity != Polarity::kPositive &&
-            record.polarity != Polarity::kNegative) {
-          return Status::InvalidArgument(
-              "snapshot record has a non-decision polarity");
-        }
-      }
-    }
-    if (total_records != num_opinions_) {
-      return Status::InvalidArgument(
-          "snapshot meta/opinion count mismatch: meta says " +
-          std::to_string(num_opinions_) + ", blocks hold " +
-          std::to_string(total_records));
-    }
-  }
-
-  // --- provenance (optional) -------------------------------------------
+  SURVEYOR_RETURN_IF_ERROR(ValidateBlocks(payloads[kSectionOpinions]));
   if (payloads.count(kSectionProvenance) > 0) {
-    Cursor c(payloads[kSectionProvenance]);
-    uint32_t count = 0, pad = 0;
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&count));
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
-    if (count > payloads[kSectionProvenance].size()) {
-      return Status::InvalidArgument("snapshot provenance count too large");
+    SURVEYOR_RETURN_IF_ERROR(
+        ValidateProvenance(payloads[kSectionProvenance]));
+  }
+  return Status::OK();
+}
+
+Status Snapshot::ValidateBlocks(std::string_view body) {
+  Cursor c(body);
+  uint32_t block_count = 0, pad = 0;
+  SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block_count));
+  SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
+  if (block_count > body.size()) {
+    return Status::InvalidArgument("snapshot block count too large");
+  }
+  blocks_.reserve(block_count);
+  uint64_t total_records = 0;
+  for (uint32_t i = 0; i < block_count; ++i) {
+    BlockView block;
+    uint32_t degraded = 0;
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.type_index));
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.property_index));
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&degraded));
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.record_count));
+    uint64_t record_offset = 0;
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU64(&record_offset));
+    block.degraded = degraded != 0;
+    if (block.type_index >= types_.size() ||
+        block.property_index >= properties_.size()) {
+      return Status::InvalidArgument(
+          "snapshot block references beyond its string tables");
     }
-    provenance_.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      ProvenanceEntry entry;
-      uint32_t ref_count = 0;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&entry.entity_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&entry.property_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&ref_count));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
-      if (entry.entity_index >= entities_.size() ||
-          entry.property_index >= properties_.size()) {
+    if (!blocks_.empty() &&
+        std::pair(blocks_.back().type_index, blocks_.back().property_index) >=
+            std::pair(block.type_index, block.property_index)) {
+      return Status::InvalidArgument(
+          "snapshot blocks out of (type, property) order");
+    }
+    if (record_offset > body.size() ||
+        static_cast<uint64_t>(block.record_count) * kRecordSize >
+            body.size() - record_offset) {
+      return Status::InvalidArgument("snapshot block records out of bounds");
+    }
+    block.records = body.data() + record_offset;
+    total_records += block.record_count;
+    blocks_.push_back(block);
+  }
+  for (const BlockView& block : blocks_) {
+    for (uint32_t i = 0; i < block.record_count; ++i) {
+      const RecordView record = ReadRecord(block.records, i);
+      if (record.entity_index >= entities_.size()) {
         return Status::InvalidArgument(
-            "snapshot provenance references beyond its string tables");
+            "snapshot record references beyond the entity table");
       }
-      if (ref_count > c.remaining() / kProvRefSize) {
-        return Status::InvalidArgument("snapshot provenance truncated");
+      if (i > 0 && DecodeU32(block.records + (i - 1) * kRecordSize + 8) >=
+                       record.entity_index) {
+        return Status::InvalidArgument(
+            "snapshot records out of entity order within a block");
       }
-      entry.refs.reserve(ref_count);
-      for (uint32_t r = 0; r < ref_count; ++r) {
-        std::string_view raw;
-        SURVEYOR_RETURN_IF_ERROR(c.ReadBytes(kProvRefSize, &raw));
-        StatementRef ref;
-        ref.doc_id = static_cast<int64_t>(DecodeU64(raw.data()));
-        ref.sentence_index = static_cast<int>(DecodeU32(raw.data() + 8));
-        ref.positive = DecodeU32(raw.data() + 12) != 0;
-        entry.refs.push_back(ref);
+      if (entities_[record.entity_index].type != block.type_index) {
+        return Status::InvalidArgument(
+            "snapshot record's entity is not of its block's type");
       }
-      provenance_.push_back(std::move(entry));
+      // Bitwise or: one predictable branch, not one per polarity (which
+      // is a coin flip record to record).
+      if (!((record.polarity == Polarity::kPositive) |
+            (record.polarity == Polarity::kNegative))) {
+        return Status::InvalidArgument(
+            "snapshot record has a non-decision polarity");
+      }
+      // What SnapshotWriter::Add accepts; a NaN would also break the
+      // strict weak order the query sorts rely on.
+      if (!(record.posterior >= 0.0 && record.posterior <= 1.0)) {
+        return Status::InvalidArgument(
+            "snapshot record posterior outside [0, 1]");
+      }
     }
   }
-
+  if (total_records != num_opinions_) {
+    return Status::InvalidArgument(
+        "snapshot meta/opinion count mismatch: meta says " +
+        std::to_string(num_opinions_) + ", blocks hold " +
+        std::to_string(total_records));
+  }
+  // Blocks ascend by type, so each type's blocks are one run.
+  type_block_begin_.assign(types_.size() + 1, 0);
+  uint32_t b = 0;
+  for (uint32_t t = 0; t <= types_.size(); ++t) {
+    while (b < blocks_.size() && blocks_[b].type_index < t) ++b;
+    type_block_begin_[t] = b;
+  }
   return Status::OK();
+}
+
+Status Snapshot::ValidateProvenance(std::string_view body) {
+  Cursor c(body);
+  uint32_t count = 0, pad = 0;
+  SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&count));
+  SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
+  if (count > body.size()) {
+    return Status::InvalidArgument("snapshot provenance count too large");
+  }
+  provenance_begin_.assign(entities_.size() + 1, 0);
+  // provenance_begin_[e] is the offset of entity e's first entry, or of
+  // the next entry after e when e has none, so e's entries are the run
+  // [provenance_begin_[e], provenance_begin_[e + 1]).
+  uint32_t next_entity = 0;
+  uint32_t last_entity = 0, last_property = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t offset = body.size() - c.remaining();
+    uint32_t entity_index = 0, property_index = 0, ref_count = 0;
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&entity_index));
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&property_index));
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&ref_count));
+    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
+    if (entity_index >= entities_.size() ||
+        property_index >= properties_.size()) {
+      return Status::InvalidArgument(
+          "snapshot provenance references beyond its string tables");
+    }
+    if (i > 0 && std::pair(last_entity, last_property) >=
+                     std::pair(entity_index, property_index)) {
+      return Status::InvalidArgument(
+          "snapshot provenance out of (entity, property) order");
+    }
+    if (ref_count > c.remaining() / kProvRefSize) {
+      return Status::InvalidArgument("snapshot provenance truncated");
+    }
+    std::string_view refs;
+    SURVEYOR_RETURN_IF_ERROR(c.ReadBytes(ref_count * kProvRefSize, &refs));
+    for (; next_entity <= entity_index; ++next_entity) {
+      provenance_begin_[next_entity] = offset;
+    }
+    last_entity = entity_index;
+    last_property = property_index;
+  }
+  const size_t end = body.size() - c.remaining();
+  for (; next_entity <= entities_.size(); ++next_entity) {
+    provenance_begin_[next_entity] = end;
+  }
+  provenance_ = body;
+  num_provenance_entries_ = count;
+  return Status::OK();
+}
+
+const Snapshot::BlockView* Snapshot::FindBlock(uint32_t type_index,
+                                               uint32_t property_index) const {
+  const std::span<const BlockView> run = TypeBlocks(type_index);
+  const auto it = std::lower_bound(
+      run.begin(), run.end(), property_index,
+      [](const BlockView& block, uint32_t property) {
+        return block.property_index < property;
+      });
+  if (it == run.end() || it->property_index != property_index) return nullptr;
+  return &*it;
+}
+
+int64_t Snapshot::FindRecord(const BlockView& block, uint32_t entity_index) {
+  uint32_t lo = 0, hi = block.record_count;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    const uint32_t at = DecodeU32(block.records + mid * kRecordSize + 8);
+    if (at == entity_index) return mid;
+    if (at < entity_index) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return -1;
+}
+
+std::vector<StatementRef> Snapshot::Provenance(uint32_t entity_index,
+                                               uint32_t property_index) const {
+  std::vector<StatementRef> refs;
+  if (provenance_begin_.empty()) return refs;
+  // Open validated every entry in [begin, end) and their order.
+  const char* p = provenance_.data() + provenance_begin_[entity_index];
+  const char* const end =
+      provenance_.data() + provenance_begin_[entity_index + 1];
+  while (p < end) {
+    const uint32_t property = DecodeU32(p + 4);
+    const uint32_t ref_count = DecodeU32(p + 8);
+    p += kProvHeaderSize;
+    if (property > property_index) break;
+    if (property == property_index) {
+      refs.reserve(ref_count);
+      for (uint32_t r = 0; r < ref_count; ++r, p += kProvRefSize) {
+        StatementRef ref;
+        ref.doc_id = static_cast<int64_t>(DecodeU64(p));
+        ref.sentence_index = static_cast<int>(DecodeU32(p + 8));
+        ref.positive = DecodeU32(p + 12) != 0;
+        refs.push_back(ref);
+      }
+      break;
+    }
+    p += ref_count * kProvRefSize;
+  }
+  return refs;
 }
 
 }  // namespace serving

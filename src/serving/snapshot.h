@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,10 +41,17 @@ namespace serving {
 ///     provenance      optional supporting-statement samples per
 ///                     (entity, property)
 ///
-/// Every section payload is CRC-32 checked at open, so bit rot and
-/// truncation are detected before a single query is answered. The reader
-/// is zero-copy: it mmaps the file and serves names as string_views into
-/// the mapping.
+/// The writer emits every table sorted: entities get their index in name
+/// order, blocks ascend by (type, property), the records of a block by
+/// entity index, and provenance entries by (entity, property). The reader
+/// relies on the last three orders to probe the file in place.
+///
+/// Every section payload is CRC-32 checked at open, and the order above
+/// is validated in the same pass, so bit rot, truncation and misordered
+/// tables are detected before a single query is answered. The reader is
+/// zero-copy: it mmaps the file, serves names as string_views into the
+/// mapping, binary-searches records where they lie and decodes provenance
+/// samples only when asked for one pair.
 inline constexpr char kSnapshotMagic[8] = {'S', 'U', 'R', 'V',
                                            'S', 'N', 'P', '\n'};
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
@@ -138,9 +146,9 @@ class SnapshotWriter {
 };
 
 /// Read side: validates the whole file at Open (magic, version, size,
-/// section table bounds, per-section CRC) and then serves zero-copy views
-/// into the mapping. A Snapshot is immutable once open; concurrent readers
-/// need no synchronization.
+/// section table bounds, per-section CRC, table order) and then serves
+/// zero-copy views into the mapping. A Snapshot is immutable once open;
+/// concurrent readers need no synchronization.
 class Snapshot {
  public:
   Snapshot() = default;
@@ -148,10 +156,10 @@ class Snapshot {
   Snapshot& operator=(Snapshot&&) = default;
 
   /// Maps and validates `path`. InvalidArgument for format problems (bad
-  /// magic, version mismatch, truncation, malformed tables); Internal for
-  /// payload corruption (CRC mismatch). The "snapshot_read" fault point
-  /// fires here as a simulated transient I/O failure (Internal), which
-  /// OpinionIndex absorbs with bounded retries.
+  /// magic, version mismatch, truncation, malformed or misordered
+  /// tables); Internal for payload corruption (CRC mismatch). The
+  /// "snapshot_read" fault point fires here as a simulated transient I/O
+  /// failure (Internal), which OpinionIndex absorbs with bounded retries.
   Status Open(const std::string& path);
 
   std::string_view label() const { return label_; }
@@ -171,7 +179,8 @@ class Snapshot {
   }
 
   /// One per-(type, property) block; `records` points at `record_count`
-  /// 16-byte records inside the mapping.
+  /// 16-byte records inside the mapping, ascending by entity index. Every
+  /// record's entity is of the block's type.
   struct BlockView {
     uint32_t type_index = 0;
     uint32_t property_index = 0;
@@ -179,7 +188,21 @@ class Snapshot {
     uint32_t record_count = 0;
     const char* records = nullptr;
   };
+  /// Every block, ascending by (type, property).
   const std::vector<BlockView>& blocks() const { return blocks_; }
+
+  /// The blocks of one type: a contiguous run of blocks(), ascending by
+  /// property.
+  std::span<const BlockView> TypeBlocks(uint32_t type_index) const {
+    return std::span<const BlockView>(blocks_).subspan(
+        type_block_begin_[type_index],
+        type_block_begin_[type_index + 1] - type_block_begin_[type_index]);
+  }
+
+  /// The (type, property) block, or nullptr when nothing was mined for
+  /// the pair. Binary search within the type's run.
+  const BlockView* FindBlock(uint32_t type_index,
+                             uint32_t property_index) const;
 
   struct RecordView {
     double posterior = 0.5;
@@ -188,15 +211,19 @@ class Snapshot {
   };
   static RecordView ReadRecord(const char* records, size_t i);
 
-  /// Decoded provenance samples (empty when the section is absent).
-  struct ProvenanceEntry {
-    uint32_t entity_index = 0;
-    uint32_t property_index = 0;
-    std::vector<StatementRef> refs;
-  };
-  const std::vector<ProvenanceEntry>& provenance() const {
-    return provenance_;
-  }
+  /// Position of `entity_index`'s record in `block`, or -1. Binary search
+  /// over the block's records in the mapping.
+  static int64_t FindRecord(const BlockView& block, uint32_t entity_index);
+
+  /// Number of (entity, property) pairs carrying provenance samples (0
+  /// when the section is absent).
+  size_t num_provenance_entries() const { return num_provenance_entries_; }
+
+  /// Decodes the provenance samples of one (entity, property) pair from
+  /// the mapping; empty when the pair has none. Scans only the entity's
+  /// contiguous entries.
+  std::vector<StatementRef> Provenance(uint32_t entity_index,
+                                       uint32_t property_index) const;
 
  private:
   struct EntityEntry {
@@ -205,6 +232,8 @@ class Snapshot {
   };
 
   Status Validate(std::string_view file);
+  Status ValidateBlocks(std::string_view body);
+  Status ValidateProvenance(std::string_view body);
 
   MmapFile file_;
   std::string_view label_;
@@ -213,7 +242,14 @@ class Snapshot {
   std::vector<EntityEntry> entities_;
   std::vector<std::string_view> properties_;
   std::vector<BlockView> blocks_;
-  std::vector<ProvenanceEntry> provenance_;
+  /// type index -> index of its first block; num_types() + 1 entries.
+  std::vector<uint32_t> type_block_begin_;
+  /// The provenance section payload (empty when absent) and, per entity
+  /// index, the byte offset of its first entry in it; num_entities() + 1
+  /// entries when the section is present.
+  std::string_view provenance_;
+  std::vector<size_t> provenance_begin_;
+  size_t num_provenance_entries_ = 0;
 };
 
 }  // namespace serving

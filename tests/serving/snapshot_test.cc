@@ -119,7 +119,7 @@ TEST(SnapshotWriterTest, RejectsOneNameUnderTwoTypes) {
   ASSERT_TRUE(snapshot.Open(path).ok());
   EXPECT_EQ(snapshot.num_opinions(), 2u);
   EXPECT_EQ(snapshot.num_types(), 1u);
-  EXPECT_TRUE(snapshot.provenance().empty());
+  EXPECT_EQ(snapshot.num_provenance_entries(), 0u);
   for (const Snapshot::BlockView& block : snapshot.blocks()) {
     if (snapshot.PropertyName(block.property_index) != "big") continue;
     ASSERT_EQ(block.record_count, 1u);
@@ -199,15 +199,24 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   }
   EXPECT_TRUE(found);
 
-  ASSERT_EQ(snapshot.provenance().size(), 1u);
-  const Snapshot::ProvenanceEntry& entry = snapshot.provenance()[0];
-  EXPECT_EQ(snapshot.EntityName(entry.entity_index), "kitten");
-  EXPECT_EQ(snapshot.PropertyName(entry.property_index), "cute");
-  ASSERT_EQ(entry.refs.size(), 2u);
-  EXPECT_EQ(entry.refs[0].doc_id, 1234);
-  EXPECT_EQ(entry.refs[0].sentence_index, 2);
-  EXPECT_TRUE(entry.refs[0].positive);
-  EXPECT_FALSE(entry.refs[1].positive);
+  // Exactly one pair carries provenance: (kitten, cute).
+  ASSERT_EQ(snapshot.num_provenance_entries(), 1u);
+  std::vector<StatementRef> refs;
+  for (uint32_t e = 0; e < snapshot.num_entities(); ++e) {
+    for (uint32_t p = 0; p < snapshot.num_properties(); ++p) {
+      std::vector<StatementRef> pair_refs = snapshot.Provenance(e, p);
+      if (pair_refs.empty()) continue;
+      EXPECT_EQ(snapshot.EntityName(e), "kitten");
+      EXPECT_EQ(snapshot.PropertyName(p), "cute");
+      EXPECT_TRUE(refs.empty());
+      refs = std::move(pair_refs);
+    }
+  }
+  ASSERT_EQ(refs.size(), 2u);
+  EXPECT_EQ(refs[0].doc_id, 1234);
+  EXPECT_EQ(refs[0].sentence_index, 2);
+  EXPECT_TRUE(refs[0].positive);
+  EXPECT_FALSE(refs[1].positive);
 }
 
 TEST_F(SnapshotTest, SerializationIsInsertionOrderIndependent) {
@@ -258,13 +267,15 @@ TEST_F(SnapshotTest, ReadAndRebuildIsBitIdentical) {
       ASSERT_TRUE(rebuilt.Add(opinion).ok());
     }
   }
-  for (const Snapshot::ProvenanceEntry& entry : snapshot.provenance()) {
-    const uint32_t type = snapshot.EntityType(entry.entity_index);
-    rebuilt.AddProvenance(std::string(snapshot.EntityName(entry.entity_index)),
-                          std::string(snapshot.TypeName(type)),
-                          std::string(snapshot.PropertyName(
-                              entry.property_index)),
-                          entry.refs);
+  for (uint32_t e = 0; e < snapshot.num_entities(); ++e) {
+    for (uint32_t p = 0; p < snapshot.num_properties(); ++p) {
+      std::vector<StatementRef> refs = snapshot.Provenance(e, p);
+      if (refs.empty()) continue;
+      rebuilt.AddProvenance(
+          std::string(snapshot.EntityName(e)),
+          std::string(snapshot.TypeName(snapshot.EntityType(e))),
+          std::string(snapshot.PropertyName(p)), std::move(refs));
+    }
   }
   EXPECT_EQ(rebuilt.Serialize(), image);
 }
