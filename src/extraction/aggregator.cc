@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "util/logging.h"
+#include "util/profile_tag.h"
 
 namespace surveyor {
 
@@ -51,6 +52,7 @@ void EvidenceAggregator::KeepSmallest(const StatementRef& ref,
 
 void EvidenceAggregator::AddAll(
     const std::vector<EvidenceStatement>& statements) {
+  SURVEYOR_PROFILE_SCOPE("aggregate");
   for (const EvidenceStatement& s : statements) Add(s);
 }
 

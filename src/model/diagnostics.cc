@@ -6,6 +6,7 @@
 
 #include "util/logging.h"
 #include "util/math.h"
+#include "util/profile_tag.h"
 #include "util/string_util.h"
 
 namespace surveyor {
@@ -57,6 +58,7 @@ double ChiSquare(const std::array<double, kNumBins>& observed,
 
 ModelDiagnostics DiagnoseFit(const std::vector<EvidenceCounts>& counts,
                              const EmFitResult& fit) {
+  SURVEYOR_PROFILE_SCOPE("diagnose");
   SURVEYOR_CHECK_EQ(counts.size(), fit.responsibilities.size());
   ModelDiagnostics diagnostics;
   const PoissonRates rates = RatesFromParams(fit.params);
@@ -64,6 +66,9 @@ ModelDiagnostics DiagnoseFit(const std::vector<EvidenceCounts>& counts,
 
   std::array<double, kNumBins> observed_pos{}, expected_pos{};
   std::array<double, kNumBins> observed_neg{}, expected_neg{};
+  // Σr and Σ(1−r): the expected bin counts are linear in the
+  // responsibilities, so the bin probabilities are computed once per fit.
+  double positive_mass = 0.0, negative_mass = 0.0;
 
   for (size_t i = 0; i < counts.size(); ++i) {
     const double r = fit.responsibilities[i];
@@ -78,18 +83,22 @@ ModelDiagnostics DiagnoseFit(const std::vector<EvidenceCounts>& counts,
         r * rates.pos_given_pos + (1.0 - r) * rates.pos_given_neg;
     diagnostics.expected_negative_statements +=
         r * rates.neg_given_pos + (1.0 - r) * rates.neg_given_neg;
-    diagnostics.positive_entity_fraction += r;
+    positive_mass += r;
+    negative_mass += 1.0 - r;
     if (std::abs(r - 0.5) < 1e-6) ++diagnostics.undecided_entities;
 
     ++observed_pos[BinIndex(c.positive)];
     ++observed_neg[BinIndex(c.negative)];
-    for (size_t b = 0; b < kNumBins; ++b) {
-      expected_pos[b] += r * PoissonBinProbability(rates.pos_given_pos, b) +
-                         (1.0 - r) * PoissonBinProbability(rates.pos_given_neg, b);
-      expected_neg[b] += r * PoissonBinProbability(rates.neg_given_pos, b) +
-                         (1.0 - r) * PoissonBinProbability(rates.neg_given_neg, b);
-    }
   }
+  for (size_t b = 0; b < kNumBins; ++b) {
+    expected_pos[b] =
+        positive_mass * PoissonBinProbability(rates.pos_given_pos, b) +
+        negative_mass * PoissonBinProbability(rates.pos_given_neg, b);
+    expected_neg[b] =
+        positive_mass * PoissonBinProbability(rates.neg_given_pos, b) +
+        negative_mass * PoissonBinProbability(rates.neg_given_neg, b);
+  }
+  diagnostics.positive_entity_fraction = positive_mass;
   if (!counts.empty()) {
     diagnostics.positive_entity_fraction /= static_cast<double>(counts.size());
   }

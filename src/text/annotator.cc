@@ -2,6 +2,7 @@
 
 #include "text/tokenizer.h"
 #include "util/logging.h"
+#include "util/profile_tag.h"
 
 namespace surveyor {
 
@@ -14,6 +15,9 @@ TextAnnotator::TextAnnotator(const KnowledgeBase* kb, const Lexicon* lexicon,
 
 AnnotatedDocument TextAnnotator::AnnotateDocument(int64_t doc_id,
                                                   std::string_view text) const {
+  // Innermost tags (split, tokenize, match, parse, coref) win; this one
+  // keeps the per-sentence bookkeeping out of "untagged".
+  SURVEYOR_PROFILE_SCOPE("annotate");
   AnnotatedDocument doc;
   doc.doc_id = doc_id;
   for (const std::string& sentence : SplitSentences(text)) {
@@ -38,6 +42,7 @@ AnnotatedSentence TextAnnotator::AnnotateSentence(
 }
 
 void TextAnnotator::ResolveCoreference(AnnotatedSentence& sentence) const {
+  SURVEYOR_PROFILE_SCOPE("coref");
   const DependencyTree& tree = sentence.tree;
   for (size_t i = 0; i < sentence.units.size(); ++i) {
     ParseUnit& unit = sentence.units[i];

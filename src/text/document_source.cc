@@ -1,6 +1,7 @@
 #include "text/document_source.h"
 
 #include "util/fault.h"
+#include "util/profile_tag.h"
 #include "util/string_util.h"
 
 namespace surveyor {
@@ -12,6 +13,7 @@ VectorDocumentSource::VectorDocumentSource(
 }
 
 std::optional<RawDocument> VectorDocumentSource::Next() {
+  SURVEYOR_PROFILE_SCOPE("source");
   MutexLock lock(mutex_);
   if (next_ >= corpus_->size()) return std::nullopt;
   return (*corpus_)[next_++];
@@ -40,6 +42,7 @@ DocumentSourceCounters FileDocumentSource::counters() const {
 }
 
 std::optional<RawDocument> FileDocumentSource::Next() {
+  SURVEYOR_PROFILE_SCOPE("source");
   MutexLock lock(mutex_);
   if (!status_.ok()) return std::nullopt;
   std::string line;

@@ -1,16 +1,17 @@
 #ifndef SURVEYOR_TEXT_ENTITY_TAGGER_H_
 #define SURVEYOR_TEXT_ENTITY_TAGGER_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "kb/knowledge_base.h"
 #include "text/annotated.h"
 #include "text/lexicon.h"
 #include "text/token.h"
+#include "util/string_util.h"
 
 namespace surveyor {
 
@@ -34,30 +35,45 @@ struct EntityTaggerOptions {
 /// "state-of-the-art means for disambiguation".
 class EntityTagger {
  public:
-  /// `kb` must outlive the tagger. Builds the alias match table.
+  /// `kb` must outlive the tagger. Compiles the KB's aliases into a trie.
   EntityTagger(const KnowledgeBase* kb, EntityTaggerOptions options = {});
 
   /// Chunks `tokens` into parse units, tagging resolved entity mentions.
-  /// Unresolved (too-ambiguous) aliases stay as plain tokens.
+  /// Each position takes the longest alias that starts there and crosses
+  /// no punctuation. Unresolved (too-ambiguous) aliases stay as plain
+  /// noun chunks.
   std::vector<ParseUnit> Tag(const std::vector<Token>& tokens) const;
 
-  /// Resolves a single alias given sentence context words (lower-cased).
-  /// Returns kInvalidEntity when unresolvable.
-  EntityId Resolve(const std::string& alias,
-                   const std::unordered_set<std::string>& context) const;
-
  private:
-  /// Disambiguation core shared by Tag and Resolve: scores pre-looked-up
-  /// candidates against lower-cased context words. Views must outlive the
-  /// call only.
-  EntityId Disambiguate(
-      const std::vector<EntityId>& candidates,
-      const std::unordered_set<std::string_view>& context) const;
+  /// A trie node; the root is node 0. An alias ends at a node iff
+  /// `alias` is non-empty.
+  struct Node {
+    /// The alias spelled by the path to this node ("san francisco").
+    std::string alias;
+    std::vector<EntityId> candidates;
+  };
+
+  /// Picks among an alias's candidates. Two or more are scored by
+  /// popularity plus the type-cue bonus when a cue word of the candidate's
+  /// type is among `tokens`; kInvalidEntity when the margin is too small.
+  EntityId Disambiguate(const std::vector<EntityId>& candidates,
+                        const std::vector<Token>& tokens) const;
+
+  /// The child of `node` along the alias token `token_id`, 0 if none.
+  uint32_t Child(uint32_t node, uint32_t token_id) const;
+
+  static uint64_t EdgeKey(uint32_t node, uint32_t token_id) {
+    return (static_cast<uint64_t>(node) << 32) | token_id;
+  }
 
   const KnowledgeBase* kb_;
   EntityTaggerOptions options_;
-  /// alias (space-joined lower-case tokens) -> candidate entities.
-  std::unordered_map<std::string, std::vector<EntityId>> aliases_;
+  /// Every token that occurs in some alias -> its interned id.
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
+      token_ids_;
+  std::vector<Node> nodes_;
+  /// EdgeKey(parent, token id) -> child node.
+  std::unordered_map<uint64_t, uint32_t> edges_;
   /// type id -> cue words (type noun singular + plural).
   std::vector<std::vector<std::string>> type_cues_;
 };

@@ -111,6 +111,16 @@ constexpr ClosedClassEntry kClosedClass[] = {
     {"truly", Pos::kAdverb},
 };
 
+// The probe key for `word`: keys are stored lower-cased and the tokenizer
+// already lower-cases every token, so the word itself unless it has an
+// ASCII upper-case byte, in which case its lower-cased copy in `lowered`.
+std::string_view LowerKey(std::string_view word, std::string& lowered) {
+  for (const char c : word) {
+    if (c >= 'A' && c <= 'Z') return lowered = ToLower(word);
+  }
+  return word;
+}
+
 }  // namespace
 
 Lexicon::Lexicon() {
@@ -139,13 +149,15 @@ std::string Lexicon::AddNounWithPlural(std::string_view singular) {
 }
 
 Pos Lexicon::Lookup(std::string_view word) const {
-  auto it = words_.find(ToLower(word));
+  std::string lowered;
+  auto it = words_.find(LowerKey(word, lowered));
   if (it == words_.end()) return Pos::kUnknown;
   return it->second;
 }
 
 bool Lexicon::Contains(std::string_view word) const {
-  return words_.find(ToLower(word)) != words_.end();
+  std::string lowered;
+  return words_.find(LowerKey(word, lowered)) != words_.end();
 }
 
 std::string Lexicon::Pluralize(std::string_view singular) {
@@ -186,8 +198,10 @@ std::vector<std::pair<std::string, std::string>> Lexicon::PluralMappings()
 }
 
 std::string Lexicon::Singularize(std::string_view word) const {
-  auto it = plural_to_singular_.find(ToLower(word));
-  if (it == plural_to_singular_.end()) return std::string(ToLower(word));
+  std::string lowered;
+  const std::string_view key = LowerKey(word, lowered);
+  auto it = plural_to_singular_.find(key);
+  if (it == plural_to_singular_.end()) return std::string(key);
   return it->second;
 }
 

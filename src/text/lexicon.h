@@ -1,13 +1,15 @@
 #ifndef SURVEYOR_TEXT_LEXICON_H_
 #define SURVEYOR_TEXT_LEXICON_H_
 
+#include <functional>
 #include <string>
-#include <utility>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "text/token.h"
+#include "util/string_util.h"
 
 namespace surveyor {
 
@@ -33,7 +35,8 @@ class Lexicon {
   /// Returns the plural that was registered.
   std::string AddNounWithPlural(std::string_view singular);
 
-  /// Looks up the POS for a word; kUnknown if absent.
+  /// Looks up the POS for a word, case-insensitively; kUnknown if absent.
+  /// Allocates only when `word` has an upper-case byte.
   Pos Lookup(std::string_view word) const;
 
   bool Contains(std::string_view word) const;
@@ -54,8 +57,9 @@ class Lexicon {
   std::vector<std::pair<std::string, std::string>> PluralMappings() const;
 
  private:
-  std::unordered_map<std::string, Pos> words_;
-  std::unordered_map<std::string, std::string> plural_to_singular_;
+  std::unordered_map<std::string, Pos, StringHash, std::equal_to<>> words_;
+  std::unordered_map<std::string, std::string, StringHash, std::equal_to<>>
+      plural_to_singular_;
 };
 
 }  // namespace surveyor

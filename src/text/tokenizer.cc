@@ -30,6 +30,7 @@ bool IsTerminator(char c) { return c == '.' || c == '!' || c == '?'; }
 
 SURVEYOR_HOT_FUNCTION
 std::vector<std::string> SplitSentences(std::string_view text) {
+  SURVEYOR_PROFILE_SCOPE("split");
   // Pre-count terminators so the output vector is sized once; sentences
   // are then trimmed views over `text`, copied exactly once each.
   size_t terminators = 0;

@@ -2,11 +2,23 @@
 #define SURVEYOR_UTIL_STRING_UTIL_H_
 
 #include <cstdarg>
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace surveyor {
+
+/// Transparent string hash: with `std::equal_to<>` it lets an
+/// `unordered_map<std::string, V>` be probed by `std::string_view` without
+/// building a key string.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 /// Splits `text` on `delimiter`, keeping empty fields.
 std::vector<std::string> Split(std::string_view text, char delimiter);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace surveyor {
@@ -94,6 +98,91 @@ TEST(DiagnosticsTest, ToStringMentionsKeyNumbers) {
   EXPECT_NE(report.find("LL="), std::string::npos);
   EXPECT_NE(report.find("chi2"), std::string::npos);
   EXPECT_NE(report.find("positive-fraction="), std::string::npos);
+}
+
+// Diagnostics as computed before the bin probabilities were hoisted out of
+// the entity loop: every entity adds its own responsibility-weighted
+// Poisson bin probabilities. Kept as the reference for DiagnoseFit.
+struct ReferenceDiagnostics {
+  double log_likelihood = 0.0;
+  double positive_count_chi2 = 0.0;
+  double negative_count_chi2 = 0.0;
+};
+
+ReferenceDiagnostics ReferenceDiagnose(
+    const std::vector<EvidenceCounts>& counts, const EmFitResult& fit) {
+  constexpr int64_t kLo[] = {0, 1, 2, 3, 6, 11, 21};
+  constexpr int64_t kHi[] = {0, 1, 2, 5, 10, 20, INT64_MAX};
+  constexpr size_t kBins = std::size(kLo);
+  auto bin_of = [&](int64_t count) {
+    size_t b = 0;
+    while (b + 1 < kBins && count > kHi[b]) ++b;
+    return b;
+  };
+  auto bin_probability = [&](double rate, size_t b) {
+    double total = 0.0;
+    if (kHi[b] == INT64_MAX) {
+      for (int64_t k = 0; k < kLo[b]; ++k) total += PoissonPmf(k, rate);
+      return std::max(0.0, 1.0 - total);
+    }
+    for (int64_t k = kLo[b]; k <= kHi[b]; ++k) total += PoissonPmf(k, rate);
+    return total;
+  };
+  auto chi2 = [&](const std::array<double, kBins>& observed,
+                  const std::array<double, kBins>& expected) {
+    double sum = 0.0;
+    for (size_t b = 0; b < kBins; ++b) {
+      const double d = observed[b] - expected[b];
+      sum += d * d / std::max(expected[b], 1e-9);
+    }
+    return sum;
+  };
+
+  const PoissonRates rates = RatesFromParams(fit.params);
+  std::array<double, kBins> observed_pos{}, expected_pos{};
+  std::array<double, kBins> observed_neg{}, expected_neg{};
+  ReferenceDiagnostics reference;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const double r = fit.responsibilities[i];
+    const EvidenceCounts& c = counts[i];
+    reference.log_likelihood +=
+        LogSumExp(std::log(0.5) + LogLikelihoodPositive(c, fit.params),
+                  std::log(0.5) + LogLikelihoodNegative(c, fit.params));
+    ++observed_pos[bin_of(c.positive)];
+    ++observed_neg[bin_of(c.negative)];
+    for (size_t b = 0; b < kBins; ++b) {
+      expected_pos[b] += r * bin_probability(rates.pos_given_pos, b) +
+                         (1.0 - r) * bin_probability(rates.pos_given_neg, b);
+      expected_neg[b] += r * bin_probability(rates.neg_given_pos, b) +
+                         (1.0 - r) * bin_probability(rates.neg_given_neg, b);
+    }
+  }
+  reference.positive_count_chi2 = chi2(observed_pos, expected_pos);
+  reference.negative_count_chi2 = chi2(observed_neg, expected_neg);
+  return reference;
+}
+
+TEST(DiagnosticsTest, MatchesPerEntityReference) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const ModelParams truth = {rng.Uniform(0.6, 0.95), rng.Uniform(2.0, 60.0),
+                               rng.Uniform(0.5, 10.0)};
+    const auto counts = DrawFromModel(truth, rng.Uniform(0.1, 0.7),
+                                      50 + rng.Index(2000), seed);
+    auto fit = EmLearner().Fit(counts);
+    ASSERT_TRUE(fit.ok());
+    const ModelDiagnostics diagnostics = DiagnoseFit(counts, *fit);
+    const ReferenceDiagnostics reference = ReferenceDiagnose(counts, *fit);
+    EXPECT_NEAR(diagnostics.positive_count_chi2, reference.positive_count_chi2,
+                1e-9 * std::abs(reference.positive_count_chi2))
+        << "seed " << seed;
+    EXPECT_NEAR(diagnostics.negative_count_chi2, reference.negative_count_chi2,
+                1e-9 * std::abs(reference.negative_count_chi2))
+        << "seed " << seed;
+    // The likelihood is still summed per entity, bit for bit.
+    EXPECT_EQ(diagnostics.log_likelihood, reference.log_likelihood);
+    EXPECT_EQ(diagnostics.aic, 6.0 - 2.0 * reference.log_likelihood);
+  }
 }
 
 }  // namespace

@@ -68,5 +68,21 @@ TEST(LexiconTest, NounWithPluralRoundTrip) {
   EXPECT_EQ(lexicon.Singularize("dogs"), "dogs");
 }
 
+TEST(LexiconTest, MixedCaseProbesFindLowerCasedEntries) {
+  Lexicon lexicon;
+  lexicon.AddNounWithPlural("City");
+  lexicon.AddWord("cute", Pos::kAdjective);
+  EXPECT_EQ(lexicon.Lookup("CiTies"), Pos::kNoun);
+  EXPECT_EQ(lexicon.Lookup("CUTE"), Pos::kAdjective);
+  EXPECT_EQ(lexicon.Lookup("The"), Pos::kDeterminer);
+  EXPECT_TRUE(lexicon.Contains("Cute"));
+  EXPECT_TRUE(lexicon.Contains("cute"));
+  EXPECT_FALSE(lexicon.Contains("Cuter"));
+  EXPECT_EQ(lexicon.Singularize("CITIES"), "city");
+  EXPECT_EQ(lexicon.Singularize("cities"), "city");
+  // Misses come back lower-cased, as hits do.
+  EXPECT_EQ(lexicon.Singularize("Dogs"), "dogs");
+}
+
 }  // namespace
 }  // namespace surveyor
