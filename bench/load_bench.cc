@@ -469,14 +469,16 @@ int Run(const std::string& out_path) {
                                    overload_options);
   // The real /v1/query path, slowed to make the queue fill determinate:
   // 2 ms of handler time caps capacity at ~500/s against far more
-  // offered load.
+  // offered load. It sleeps, so it is mounted as blocking: only the
+  // handler pool's queue sheds.
   overload_server.AddHandler(
-      "/v1/query", [&overload_service](std::string_view method,
-                                       std::string_view target,
-                                       std::string_view body) {
+      "/v1/query",
+      [&overload_service](std::string_view method, std::string_view target,
+                          std::string_view body) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         return overload_service.Handle(method, target, body);
-      });
+      },
+      obs::HandlerKind::kBlocking);
   SURVEYOR_CHECK(overload_server.Start().ok());
   SectionResult overload = RunClosedLoop("overload_shed", overload_server.port(),
                                          1.5, 8, targets);

@@ -147,9 +147,10 @@ AdminServer::AdminServer(const MetricRegistry* registry,
 
 AdminServer::~AdminServer() { Stop(); }
 
-void AdminServer::AddHandler(std::string prefix, AdminHandler handler) {
+void AdminServer::AddHandler(std::string prefix, AdminHandler handler,
+                             HandlerKind kind) {
   SURVEYOR_CHECK(http_ == nullptr) << "AddHandler after Start()";
-  handlers_.emplace_back(std::move(prefix), std::move(handler));
+  routes_.push_back({std::move(prefix), std::move(handler), kind});
 }
 
 void AdminServer::AddStatusSection(std::string key, StatusSection section) {
@@ -175,6 +176,30 @@ AdminResponse AdminServer::Handle(std::string_view method,
   return response;
 }
 
+const AdminServer::Route* AdminServer::FindRoute(
+    std::string_view path) const {
+  const Route* best = nullptr;
+  for (const Route& route : routes_) {
+    const std::string& prefix = route.prefix;
+    const bool matches =
+        path.size() >= prefix.size() && path.substr(0, prefix.size()) == prefix &&
+        (path.size() == prefix.size() || path[prefix.size()] == '/' ||
+         path[prefix.size()] == '?' || prefix.back() == '/');
+    if (matches && (best == nullptr || prefix.size() >= best->prefix.size())) {
+      best = &route;
+    }
+  }
+  return best;
+}
+
+bool AdminServer::RouteBlocks(std::string_view target) const {
+  const std::string_view path = PathOf(target);
+  const Route* route = FindRoute(path);
+  // /profilez sleeps through its whole sampling window.
+  return route != nullptr ? route->kind == HandlerKind::kBlocking
+                          : path == "/profilez";
+}
+
 AdminResponse AdminServer::Dispatch(std::string_view method,
                                     std::string_view target,
                                     std::string_view body,
@@ -182,25 +207,11 @@ AdminResponse AdminServer::Dispatch(std::string_view method,
   const std::string_view path = PathOf(target);
   // Registered endpoints first, longest prefix wins; they own their
   // method policy (POST included).
-  const AdminHandler* best = nullptr;
-  std::string_view best_prefix;
-  size_t best_len = 0;
-  for (const auto& [prefix, handler] : handlers_) {
-    const bool matches =
-        path.size() >= prefix.size() && path.substr(0, prefix.size()) == prefix &&
-        (path.size() == prefix.size() || path[prefix.size()] == '/' ||
-         path[prefix.size()] == '?' || prefix.back() == '/');
-    if (matches && prefix.size() >= best_len) {
-      best = &handler;
-      best_prefix = prefix;
-      best_len = prefix.size();
-    }
-  }
-  if (best != nullptr) {
+  if (const Route* route = FindRoute(path)) {
     // Endpoint counters aggregate under the registered prefix, not the
     // full path, so "/v1/query?e=x" and "/v1/query/batch" share a series.
-    scope->set_endpoint(best_prefix);
-    return (*best)(method, target, body);
+    scope->set_endpoint(route->prefix);
+    return route->handler(method, target, body);
   }
   if (method != "GET" && method != "HEAD") {
     scope->set_endpoint("other");
@@ -574,6 +585,7 @@ Status AdminServer::Start() {
   http_ = std::make_unique<HttpServer>(
       [this](std::string_view method, std::string_view target,
              std::string_view body) { return Handle(method, target, body); },
+      [this](std::string_view target) { return RouteBlocks(target); },
       std::move(http_options));
   const Status status = http_->Start();
   if (!status.ok()) {

@@ -48,15 +48,17 @@ struct AdminServerOptions {
   /// tier's transport metrics (connection gauge, queue depth, shed
   /// count) land in the same registry.
   MetricRegistry* profiler_metrics = nullptr;
-  /// Event-loop threads in the underlying HttpServer (--serve-workers).
+  /// Event-loop threads in the underlying HttpServer (--serve-workers);
+  /// they also run every inline endpoint.
   int serve_workers = 2;
-  /// Handler-pool threads executing endpoint logic.
+  /// Handler-pool threads executing blocking endpoints (see HandlerKind).
   int handler_threads = 4;
   /// Open-connection cap (--max-connections); excess connections are
   /// answered 503 and closed.
   size_t max_connections = 512;
-  /// Admission control (--queue-high-water): requests arriving past this
-  /// queue depth are shed with 429 + Retry-After.
+  /// Admission control (--queue-high-water) for blocking endpoints:
+  /// requests for one arriving past this queue depth are shed with 429 +
+  /// Retry-After. Inline endpoints are never queued or shed.
   size_t queue_high_water = 128;
   /// Keep-alive connections idle longer than this are closed (partial
   /// requests get 408); <= 0 disables the sweep.
@@ -73,11 +75,24 @@ using AdminResponse = HttpResponse;
 
 /// An application endpoint mounted on the admin server (see AddHandler).
 /// `target` is the full request target (path + query string), `body` the
-/// request body ("" for GET). Handlers run on the server's handler pool —
-/// several may execute concurrently — and must be thread-safe with
-/// respect to the application state they read.
+/// request body ("" for GET). An inline handler runs on the event-loop
+/// worker that parsed the request; a blocking one runs on the handler
+/// pool. Several may execute concurrently, so handlers must be
+/// thread-safe with respect to the application state they read.
 using AdminHandler = std::function<AdminResponse(
     std::string_view method, std::string_view target, std::string_view body)>;
+
+/// Where a mounted handler runs (see AddHandler).
+enum class HandlerKind {
+  /// On the event-loop worker that parsed the request, with no thread
+  /// handoff. For handlers that never wait: in-memory lookups, rendering.
+  /// A slow inline handler stalls every connection of its worker.
+  kInline,
+  /// On the handler pool, behind the bounded queue and its 429 admission
+  /// control. For handlers that may sleep, touch disk, or wait on a lock
+  /// held across slow work.
+  kBlocking,
+};
 
 /// One application section on /statusz (see AddStatusSection). The
 /// function writes exactly one JSON value (usually an object) as the
@@ -113,19 +128,23 @@ using MetricsHook = std::function<void()>;
 ///                  stacks (?format=folded, flamegraph.pl-ready) or JSON
 ///                  with the per-stage attribution table (?format=json).
 ///                  One profile at a time (409 while one runs); 501 on
-///                  sanitizer builds. Blocks one handler thread for the
-///                  window — other endpoints keep answering.
+///                  sanitizer builds. Runs on the handler pool and blocks
+///                  one of its threads for the window — other endpoints
+///                  keep answering.
 ///
 /// Every request runs under an obs::RequestScope: it gets a trace id,
 /// lands in the access log (feeding the per-endpoint counters on
 /// /metrics), and — when head-sampled or over the slow-query threshold —
 /// leaves its span tree on /tracez.
 ///
-/// Requests arrive concurrently: the event loop parses them off
-/// keep-alive connections and a handler pool executes the endpoints, so
-/// every handler (and status section) must be thread-safe. Overload is
-/// explicit — past the queue high-water mark requests are shed with 429
-/// before any endpoint code runs (see HttpServerOptions).
+/// Requests arrive concurrently: the event loops parse them off
+/// keep-alive connections and run inline endpoints (every builtin but
+/// /profilez, and handlers mounted as HandlerKind::kInline) on the spot,
+/// while a handler pool executes blocking ones, so every handler (and
+/// status section) must be thread-safe, and nothing but a blocking
+/// handler may wait. Overload is explicit — past the queue high-water
+/// mark blocking requests are shed with 429 before any endpoint code runs
+/// (see HttpServerOptions).
 class AdminServer {
  public:
   /// None of the dependencies are owned; all must outlive the server.
@@ -157,9 +176,11 @@ class AdminServer {
   /// ("/v1/query" also matches "/v1/query/batch"). Longest registered prefix
   /// wins; registered paths shadow the builtins. Handlers decide their
   /// own method policy (this is how POST endpoints exist on an otherwise
-  /// GET-only plane). Must be called before Start(); not thread-safe
-  /// against a running server.
-  void AddHandler(std::string prefix, AdminHandler handler);
+  /// GET-only plane). `kind` says where the handler runs: inline on the
+  /// event loop unless it may block. Must be called before Start(); not
+  /// thread-safe against a running server.
+  void AddHandler(std::string prefix, AdminHandler handler,
+                  HandlerKind kind = HandlerKind::kInline);
 
   /// Appends an application-owned section to /statusz under `key`
   /// ("generation": {...}). Sections render in registration order, after
@@ -189,6 +210,21 @@ class AdminServer {
   AccessLog& access_log() const { return access_log_; }
 
  private:
+  /// One registered application endpoint.
+  struct Route {
+    std::string prefix;
+    AdminHandler handler;
+    HandlerKind kind;
+  };
+
+  /// The registered route serving `path`, longest prefix first; nullptr
+  /// when a builtin (or 404) answers it.
+  const Route* FindRoute(std::string_view path) const;
+
+  /// Whether the request for `target` goes to the handler pool: its route
+  /// is blocking, or it is the builtin /profilez.
+  bool RouteBlocks(std::string_view target) const;
+
   /// Handler/builtin dispatch, running inside `scope`; sets the scope's
   /// normalized endpoint for the per-endpoint counters.
   AdminResponse Dispatch(std::string_view method, std::string_view target,
@@ -213,9 +249,8 @@ class AdminServer {
   /// request appends to them.
   mutable RequestTracer request_tracer_;
   mutable AccessLog access_log_;
-  /// Registered application endpoints, (prefix, handler). Immutable once
-  /// the server starts.
-  std::vector<std::pair<std::string, AdminHandler>> handlers_;
+  /// Registered application endpoints. Immutable once the server starts.
+  std::vector<Route> routes_;
   /// Application /statusz sections, (key, writer). Immutable once the
   /// server starts.
   std::vector<std::pair<std::string, StatusSection>> status_sections_;

@@ -56,28 +56,26 @@ std::string_view ReasonPhrase(int status) {
   }
 }
 
-/// Serializes a handler response to wire bytes. HEAD keeps the
+/// Appends a handler response's wire bytes to `out`. HEAD keeps the
 /// Content-Length of the body it suppresses (RFC 9110 §9.3.2).
-std::string SerializeResponse(const HttpResponse& response, bool keep_alive,
-                              bool head) {
-  std::string out;
-  out.reserve(response.body.size() + 160);
-  out += "HTTP/1.1 ";
-  out += ReasonPhrase(response.status);
-  out += "\r\nContent-Type: ";
-  out += response.content_type;
-  out += "\r\nContent-Length: ";
-  out += std::to_string(response.body.size());
+void SerializeResponse(const HttpResponse& response, bool keep_alive,
+                       bool head, std::string* out) {
+  out->reserve(out->size() + response.body.size() + 160);
+  *out += "HTTP/1.1 ";
+  *out += ReasonPhrase(response.status);
+  *out += "\r\nContent-Type: ";
+  *out += response.content_type;
+  *out += "\r\nContent-Length: ";
+  *out += std::to_string(response.body.size());
   for (const auto& [name, value] : response.headers) {
-    out += "\r\n";
-    out += name;
-    out += ": ";
-    out += value;
+    *out += "\r\n";
+    *out += name;
+    *out += ": ";
+    *out += value;
   }
-  out += keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
-                    : "\r\nConnection: close\r\n\r\n";
-  if (!head) out += response.body;
-  return out;
+  *out += keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
+                     : "\r\nConnection: close\r\n\r\n";
+  if (!head) *out += response.body;
 }
 
 /// Wire bytes for a transport-level plain-text response (429 shed, 431
@@ -95,7 +93,9 @@ std::string SimpleResponseBytes(int status, std::string_view body,
         std::string(extra_header.substr(0, colon)),
         std::string(extra_header.substr(colon + 2)));
   }
-  return SerializeResponse(response, keep_alive, /*head=*/false);
+  std::string out;
+  SerializeResponse(response, keep_alive, /*head=*/false, &out);
+  return out;
 }
 
 char AsciiLower(char c) {
@@ -143,10 +143,12 @@ std::string_view TrimOws(std::string_view s) {
 
 enum class ParseOutcome { kNeedMore, kRequest, kError };
 
+/// One parsed request. The views point into the connection's input
+/// buffer and stay valid until its `consumed` bytes are erased.
 struct ParsedRequest {
-  std::string method;
-  std::string target;
-  std::string body;
+  std::string_view method;
+  std::string_view target;
+  std::string_view body;
   bool keep_alive = true;
   bool expect_continue = false;
   /// Head parsed fine, body still streaming in — drives 100-continue and
@@ -156,13 +158,14 @@ struct ParsedRequest {
   /// Bytes of the input buffer this request consumed (kRequest only).
   size_t consumed = 0;
   int error_status = 0;
-  std::string error_message;
+  /// A string literal.
+  std::string_view error_message;
 };
 
 ParseOutcome ParseError(ParsedRequest* out, int status,
                         std::string_view message) {
   out->error_status = status;
-  out->error_message = std::string(message);
+  out->error_message = message;
   return ParseOutcome::kError;
 }
 
@@ -274,9 +277,9 @@ ParseOutcome ParseOne(std::string_view in, size_t max_header_bytes,
   out->expect_continue = expect_continue;
   if (in.size() < body_start + content_length) return ParseOutcome::kNeedMore;
 
-  out->method = std::string(method);
-  out->target = std::string(target);
-  out->body = std::string(in.substr(body_start, content_length));
+  out->method = method;
+  out->target = target;
+  out->body = in.substr(body_start, content_length);
   out->keep_alive = keep_alive;
   out->consumed = body_start + content_length;
   return ParseOutcome::kRequest;
@@ -328,9 +331,10 @@ void HttpServer::RequestQueue::Shutdown() {
 // ---------------------------------------------------------------------------
 
 /// One event-loop thread. All connection state is owned by the loop
-/// thread; the only cross-thread surface is the mutex-protected mailbox
-/// (adopted fds, completed responses, the stop flag) plus an eventfd
-/// that wakes epoll_wait when the mailbox has work.
+/// thread, which also runs inline handlers; the only cross-thread surface
+/// is the mutex-protected mailbox (adopted fds, responses from the
+/// handler pool, the stop flag) plus an eventfd that wakes epoll_wait
+/// when the mailbox has work.
 class HttpServer::Worker {
  public:
   Worker(HttpServer* server, int index) : server_(server), index_(index) {}
@@ -411,13 +415,14 @@ class HttpServer::Worker {
     /// cursor so flushed prefixes are not re-sent.
     std::string out;
     size_t out_pos = 0;
-    /// A request from this connection sits in the queue or a handler;
-    /// at most one per connection — pipelined successors wait in `in`.
+    /// A request from this connection sits in the pool's queue or one of
+    /// its handlers; at most one per connection — pipelined successors
+    /// wait in `in`, so responses leave in request order.
     bool busy = false;
     bool close_after_write = false;
     bool peer_closed = false;
     bool sent_continue = false;
-    /// Back-pressure: reads are parked when `in` is full while busy.
+    /// Back-pressure: reads are parked while `in` is full.
     bool reads_paused = false;
     uint32_t armed_events = EPOLLIN;
     Clock::time_point last_activity;
@@ -478,11 +483,13 @@ class HttpServer::Worker {
           Close(conn);
           continue;
         }
-        if ((events[i].events & EPOLLOUT) != 0) {
-          if (!FlushAndMaybeClose(conn)) continue;
+        if ((events[i].events & EPOLLOUT) != 0 && !FlushAndMaybeClose(conn)) {
+          continue;
         }
         if ((events[i].events & EPOLLIN) != 0) {
           OnReadable(conn);
+        } else {
+          TryDispatch(conn);  // parsing waits for a drained write buffer
         }
       }
 
@@ -627,8 +634,8 @@ class HttpServer::Worker {
     char buffer[4096];
     for (;;) {
       if (conn->in.size() >= MaxBufferedInput()) {
-        // A pipelining client ran ahead of the handler; stop reading
-        // until the in-flight request completes.
+        // A pipelining client ran ahead of the server; stop reading
+        // until a buffered request is consumed.
         conn->reads_paused = true;
         UpdateInterest(conn);
         break;
@@ -651,12 +658,16 @@ class HttpServer::Worker {
     TryDispatch(conn);
   }
 
-  /// Parses and dispatches as many buffered requests as admission
-  /// control allows: at most one in flight per connection; shed requests
-  /// (429) do not occupy the connection, so parsing continues behind
-  /// them.
+  /// Parses and answers as many buffered requests as it can. A request
+  /// whose route cannot block runs right here, its handler reading views
+  /// into `in`; one that may block is copied into the pool's queue or,
+  /// past its high-water mark, shed with 429. A pooled request holds the
+  /// connection (`busy`) until its response lands, and parsing also
+  /// waits while output is pending, so responses stay in order and a
+  /// client that does not read cannot grow `out` without bound.
   void TryDispatch(Connection* conn) {
-    while (!conn->busy && !conn->close_after_write) {
+    while (!conn->busy && !conn->close_after_write &&
+           conn->out_pos >= conn->out.size()) {
       if (server_->draining_.load(std::memory_order_relaxed)) {
         if (!conn->in.empty()) {
           SendInline(conn, 503, "shutting down\n", /*close_after=*/true);
@@ -687,22 +698,37 @@ class HttpServer::Worker {
                    /*close_after=*/true);
         return;
       }
-      conn->in.erase(0, request.consumed);
       conn->sent_continue = false;
       server_->requests_total_->Increment();
+      if (!server_->route_blocks_(request.target)) {
+        const HttpResponse response =
+            server_->handler_(request.method, request.target, request.body);
+        const bool keep_alive =
+            request.keep_alive &&
+            !server_->draining_.load(std::memory_order_relaxed);
+        SerializeResponse(response, keep_alive, request.method == "HEAD",
+                          &conn->out);
+        Consume(conn, request.consumed);  // the views die here
+        if (!FinishResponse(conn, keep_alive)) return;
+        continue;
+      }
       PendingRequest pending;
       pending.worker_index = index_;
       pending.connection_id = conn->id;
-      pending.method = std::move(request.method);
-      pending.target = std::move(request.target);
-      pending.body = std::move(request.body);
+      pending.method = std::string(request.method);
+      pending.target = std::string(request.target);
+      pending.body = std::string(request.body);
       pending.keep_alive = request.keep_alive;
+      Consume(conn, request.consumed);
       server_->inflight_.fetch_add(1, std::memory_order_acq_rel);
       if (!server_->queue_->TryPush(std::move(pending))) {
         server_->inflight_.fetch_sub(1, std::memory_order_acq_rel);
         server_->shed_total_->Increment();
+        // The connection outlives the shed request unless the request
+        // itself asked to close (HTTP/1.0, Connection: close).
         if (!SendInline(conn, 429, "overloaded, backing off helps\n",
-                        /*close_after=*/false, "Retry-After: 1")) {
+                        /*close_after=*/!request.keep_alive,
+                        "Retry-After: 1")) {
           return;
         }
         continue;  // the next pipelined request may still be admitted
@@ -711,24 +737,33 @@ class HttpServer::Worker {
     }
   }
 
+  /// Drops a parsed request's bytes from `in`; room in `in` resumes
+  /// reads parked by OnReadable (FlushAndMaybeClose re-arms them).
+  void Consume(Connection* conn, size_t bytes) {
+    conn->in.erase(0, bytes);
+    conn->reads_paused = false;
+  }
+
+  /// Sends a response just appended to `out`, closing afterwards when the
+  /// request or the peer ended the connection. Returns false when the
+  /// connection is gone.
+  bool FinishResponse(Connection* conn, bool keep_alive) {
+    conn->last_activity = Clock::now();
+    if (!keep_alive || conn->peer_closed) conn->close_after_write = true;
+    return FlushAndMaybeClose(conn);
+  }
+
   void ApplyCompletion(Completion completion) {
     const auto it = conns_.find(completion.conn_id);
     if (it == conns_.end()) return;
     Connection* conn = it->second.get();
     conn->busy = false;
-    conn->last_activity = Clock::now();
     if (conn->out.empty()) {
       conn->out = std::move(completion.bytes);
     } else {
       conn->out += completion.bytes;
     }
-    if (!completion.keep_alive || conn->peer_closed) {
-      conn->close_after_write = true;
-    }
-    if (conn->reads_paused) {
-      conn->reads_paused = false;
-    }
-    if (!FlushAndMaybeClose(conn)) return;
+    if (!FinishResponse(conn, completion.keep_alive)) return;
     TryDispatch(conn);  // a pipelined successor may already be buffered
   }
 
@@ -801,16 +836,19 @@ Status HttpServer::Start() {
                       "Connections refused at the --max-connections cap");
     metrics_->SetHelp("surveyor_http_requests_total",
                       "HTTP requests parsed off connections");
-    metrics_->SetHelp("surveyor_http_shed_total",
-                      "Requests shed with 429 past the queue high-water mark");
+    metrics_->SetHelp(
+        "surveyor_http_shed_total",
+        "Blocking-endpoint requests shed with 429 past the queue high-water "
+        "mark");
     metrics_->SetHelp("surveyor_http_parse_errors_total",
                       "Connections dropped for malformed/oversized requests");
     metrics_->SetHelp("surveyor_http_idle_timeouts_total",
                       "Connections closed by the idle-timeout sweep");
     metrics_->SetHelp("surveyor_http_connections",
                       "Open connections across all workers");
-    metrics_->SetHelp("surveyor_http_queue_depth",
-                      "Requests waiting in the bounded handler queue");
+    metrics_->SetHelp(
+        "surveyor_http_queue_depth",
+        "Blocking-endpoint requests waiting in the bounded handler queue");
   }
 
   const int fd =
@@ -950,8 +988,8 @@ void HttpServer::HandlerLoop() {
         handler_(request.method, request.target, request.body);
     const bool keep_alive =
         request.keep_alive && !draining_.load(std::memory_order_relaxed);
-    std::string bytes =
-        SerializeResponse(response, keep_alive, request.method == "HEAD");
+    std::string bytes;
+    SerializeResponse(response, keep_alive, request.method == "HEAD", &bytes);
     workers_[static_cast<size_t>(request.worker_index)]->Complete(
         request.connection_id, std::move(bytes), keep_alive);
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -1025,9 +1063,13 @@ void HttpServer::ReleaseConnection() {}
 
 #endif  // SURVEYOR_HAVE_EPOLL
 
-HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
-    : handler_(std::move(handler)), options_(std::move(options)) {
+HttpServer::HttpServer(HttpHandler handler, HttpRouteBlocks route_blocks,
+                       HttpServerOptions options)
+    : handler_(std::move(handler)),
+      route_blocks_(std::move(route_blocks)),
+      options_(std::move(options)) {
   SURVEYOR_CHECK(handler_ != nullptr);
+  SURVEYOR_CHECK(route_blocks_ != nullptr);
 }
 
 HttpServer::~HttpServer() { Stop(); }

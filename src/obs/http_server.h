@@ -32,11 +32,20 @@ struct HttpResponse {
 };
 
 /// Application request handler. `target` is the full request target
-/// (path + query string), `body` the request body ("" for GET). Handlers
-/// run on the server's handler pool — several may run concurrently, so a
-/// handler must be thread-safe with respect to the state it touches.
+/// (path + query string), `body` the request body ("" for GET); the views
+/// live only for the call. A request whose route may block (see
+/// HttpRouteBlocks) runs on the handler pool; every other request runs
+/// inline on the event-loop worker that parsed it. Either way several
+/// calls may run at once, so a handler must be thread-safe with respect
+/// to the state it touches.
 using HttpHandler = std::function<HttpResponse(
     std::string_view method, std::string_view target, std::string_view body)>;
+
+/// Says whether the handler answering `target` may block: sleep, wait on
+/// disk or on a lock held across slow work. Those requests are queued for
+/// the handler pool; all others run inline on a worker thread, which
+/// must never wait. Called on worker threads, so it must be thread-safe.
+using HttpRouteBlocks = std::function<bool(std::string_view target)>;
 
 /// Configuration of the epoll serving tier (DESIGN.md §15).
 struct HttpServerOptions {
@@ -47,16 +56,17 @@ struct HttpServerOptions {
   /// Event-loop threads owning connections and doing all socket I/O
   /// (--serve-workers).
   int num_workers = 2;
-  /// Threads executing handlers off the bounded request queue. Slow
-  /// endpoints (/profilez holds a multi-second window open) block one
-  /// handler, never an event loop.
+  /// Threads executing blocking endpoints off the bounded request queue.
+  /// A slow endpoint (/profilez holds a multi-second window open) blocks
+  /// one of them, never an event loop. Inline requests never use them.
   int handler_threads = 4;
   /// Accepted-connection cap (--max-connections); connections over it are
   /// answered 503 and closed by the listener.
   size_t max_connections = 512;
-  /// Admission control (--queue-high-water): a parsed request arriving
-  /// while this many are already queued is shed with 429 + Retry-After
-  /// instead of being enqueued.
+  /// Admission control (--queue-high-water) for blocking endpoints: a
+  /// request for one arriving while this many are already queued is shed
+  /// with 429 + Retry-After instead of being enqueued. Inline requests
+  /// are never queued, so they neither count toward it nor get shed.
   size_t queue_high_water = 128;
   /// Keep-alive connections idle longer than this are closed; a
   /// connection holding a partial request this long (slow loris) is
@@ -68,7 +78,8 @@ struct HttpServerOptions {
   /// Request body larger than this is rejected with 413.
   size_t max_body_bytes = 1 << 20;
   /// Graceful-shutdown budget: Stop() waits up to this long for queued
-  /// and executing requests to finish and flush before closing sockets.
+  /// and executing pool requests to finish and flush before closing
+  /// sockets.
   double drain_seconds = 5.0;
   /// Registry for the transport metrics (connection gauge, queue depth,
   /// shed count, ...). May be null: the server then keeps a private
@@ -85,10 +96,14 @@ struct HttpServerOptions {
 ///     request parsing, keep-alive with an idle-timeout sweep, bounded
 ///     write buffering with EPOLLOUT back-pressure, pipelined requests
 ///     answered in order;
-///   - a bounded request queue feeding a handler pool, with admission
-///     control: past the high-water mark parsed requests are shed with
-///     429 + Retry-After (the connection stays alive), so overload
-///     degrades into fast, explicit rejections instead of collapse;
+///   - inline dispatch: a request whose route cannot block runs on the
+///     worker that parsed it, with no thread handoff; its back-pressure
+///     is one request in flight per connection plus the connection cap;
+///   - a bounded request queue feeding a handler pool for routes that may
+///     block, with admission control: past the high-water mark such
+///     requests are shed with 429 + Retry-After (the connection stays
+///     alive), so overload degrades into fast, explicit rejections
+///     instead of collapse;
 ///   - graceful shutdown: Stop() stops accepting, drains queued and
 ///     in-flight requests, flushes responses, then closes.
 ///
@@ -97,8 +112,11 @@ struct HttpServerOptions {
 /// slow-loris partial request 408 at the idle timeout.
 class HttpServer {
  public:
-  /// `handler` answers every request; it must stay valid until Stop().
-  HttpServer(HttpHandler handler, HttpServerOptions options);
+  /// `handler` answers every request; `route_blocks` picks, per request,
+  /// the handler pool (true) or the worker thread (false). Both must stay
+  /// valid until Stop().
+  HttpServer(HttpHandler handler, HttpRouteBlocks route_blocks,
+             HttpServerOptions options);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -121,7 +139,7 @@ class HttpServer {
     return connections_.load(std::memory_order_relaxed);
   }
 
-  /// Requests shed with 429 by admission control so far.
+  /// Blocking-route requests shed with 429 by admission control so far.
   int64_t shed_count() const;
 
  private:
@@ -164,6 +182,7 @@ class HttpServer {
   void ReleaseConnection();
 
   HttpHandler handler_;
+  HttpRouteBlocks route_blocks_;
   HttpServerOptions options_;
   /// Owned fallback when options_.metrics is null.
   std::unique_ptr<MetricRegistry> owned_metrics_;
@@ -187,8 +206,8 @@ class HttpServer {
   int listener_wake_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> draining_{false};
-  /// Requests admitted to the queue or executing, not yet handed back to
-  /// their worker — what Stop() waits on.
+  /// Pool requests admitted to the queue or executing, not yet handed
+  /// back to their worker — what Stop() waits on.
   std::atomic<int64_t> inflight_{0};
   std::atomic<size_t> connections_{0};
   std::atomic<size_t> next_worker_{0};

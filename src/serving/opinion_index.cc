@@ -275,22 +275,37 @@ std::vector<ServedOpinion> OpinionIndex::QueryType(std::string_view type,
   if (type_index == NameIndex::kNone || property_index == NameIndex::kNone) {
     return out;
   }
+  const Snapshot& snapshot = generation.snapshot_;
   const Snapshot::BlockView* block =
-      generation.snapshot_.FindBlock(type_index, property_index);
+      snapshot.FindBlock(type_index, property_index);
   if (block == nullptr) return out;
+  // Rank record indices, reading posteriors and names in place; only the
+  // `limit` survivors are materialized.
+  struct Ranked {
+    double posterior;
+    std::string_view entity;
+    uint32_t record;
+  };
+  std::vector<Ranked> ranked;
   for (uint32_t r = 0; r < block->record_count; ++r) {
-    if (Snapshot::ReadRecord(block->records, r).polarity !=
-        Polarity::kPositive) {
-      continue;
-    }
-    out.push_back(Materialize(generation, *block, r));
+    const Snapshot::RecordView record = Snapshot::ReadRecord(block->records, r);
+    if (record.polarity != Polarity::kPositive) continue;
+    ranked.push_back(
+        {record.posterior, snapshot.EntityName(record.entity_index), r});
   }
-  std::sort(out.begin(), out.end(),
-            [](const ServedOpinion& a, const ServedOpinion& b) {
-              if (a.posterior != b.posterior) return a.posterior > b.posterior;
-              return a.entity < b.entity;
-            });
-  if (limit > 0 && out.size() > limit) out.resize(limit);
+  const size_t keep =
+      limit > 0 && ranked.size() > limit ? limit : ranked.size();
+  std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end(),
+                    [](const Ranked& a, const Ranked& b) {
+                      if (a.posterior != b.posterior) {
+                        return a.posterior > b.posterior;
+                      }
+                      return a.entity < b.entity;
+                    });
+  out.reserve(keep);
+  for (size_t i = 0; i < keep; ++i) {
+    out.push_back(Materialize(generation, *block, ranked[i].record));
+  }
   return out;
 }
 

@@ -49,7 +49,9 @@ class QueryService {
                obs::MetricRegistry* metrics,
                QueryServiceOptions options = {});
 
-  /// Mounts /v1/query. Call before server->Start().
+  /// Mounts /v1/query as an inline endpoint: every query shape is
+  /// answered from memory, so it runs on the event loop that parsed it.
+  /// Call before server->Start().
   void Register(obs::AdminServer* server);
 
   /// Pure request handling, exposed for tests (the transport-free analog

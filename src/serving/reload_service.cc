@@ -75,7 +75,9 @@ void ReloadService::Register(obs::AdminServer* server) {
                               std::string_view body) {
     return Handle(method, target, body);
   };
-  server->AddHandler("/v1/admin/reload", handler);
+  // A reload maps and indexes a whole snapshot (milliseconds): it runs on
+  // the handler pool, never on an event loop.
+  server->AddHandler("/v1/admin/reload", handler, obs::HandlerKind::kBlocking);
   server->AddStatusSection(
       "generation", [this](obs::JsonWriter& writer) { WriteStatus(writer); });
   server->AddMetricsHook([this] { UpdateGauges(); });

@@ -43,8 +43,9 @@ class ReloadService {
   ReloadService(GenerationStore* store, OpinionIndex* index,
                 obs::MetricRegistry* metrics);
 
-  /// Mounts /v1/admin/reload, the /statusz
-  /// section and the /metrics age hook. Call before server->Start().
+  /// Mounts /v1/admin/reload (a blocking endpoint: it runs on the
+  /// handler pool), the /statusz section and the /metrics age hook. Call
+  /// before server->Start().
   void Register(obs::AdminServer* server);
 
   /// Pure request handling, exposed for tests.

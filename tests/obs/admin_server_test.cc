@@ -1,6 +1,9 @@
 #include "obs/admin_server.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -594,6 +597,113 @@ TEST(AdminServerSocketTest, ScrapesTracezAndRequestzMidLoad) {
   EXPECT_TRUE(saw_request);
   EXPECT_GT(server.request_tracer().requests_sampled(), 0);
   EXPECT_GT(server.access_log().total_requests(), 0);
+}
+
+TEST(AdminServerSocketTest, OnlyBlockingHandlersQueueForThePool) {
+  // A blocking handler wedges the one pool thread and a second fills the
+  // one-deep queue. Inline handlers and builtins still answer; a third
+  // blocking request is shed.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  int entered = 0;
+  MetricRegistry registry;
+  AdminServerOptions options;
+  options.handler_threads = 1;
+  options.queue_high_water = 1;
+  options.profiler_metrics = &registry;
+  AdminServer server(&registry, nullptr, nullptr, options);
+  server.AddHandler(
+      "/slow",
+      [&](std::string_view, std::string_view, std::string_view) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++entered;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+        AdminResponse response;
+        response.body = "slow\n";
+        return response;
+      },
+      HandlerKind::kBlocking);
+  server.AddHandler("/fast",
+                    [](std::string_view, std::string_view, std::string_view) {
+                      AdminResponse response;
+                      response.body = "fast\n";
+                      return response;
+                    });
+  ASSERT_TRUE(server.Start().ok());
+  const int port = server.port();
+  auto release_handler = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      release = true;
+    }
+    cv.notify_all();
+  };
+
+  std::string blocked_response;
+  std::thread blocked([&] { blocked_response = HttpGet(port, "/slow"); });
+  bool handler_entered = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    handler_entered = cv.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return entered == 1; });
+  }
+  std::string queued_response;
+  std::thread queued([&] { queued_response = HttpGet(port, "/slow?q=1"); });
+  Gauge* depth = registry.GetGauge("surveyor_http_queue_depth");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (depth->Value() < 1.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool queue_full = depth->Value() == 1.0;
+
+  const std::string fast = HttpGet(port, "/fast");
+  const std::string healthz = HttpGet(port, "/healthz");
+  const std::string shed = HttpGet(port, "/slow");
+  release_handler();
+  blocked.join();
+  queued.join();
+  server.Stop();
+
+  ASSERT_TRUE(handler_entered);
+  ASSERT_TRUE(queue_full);
+  EXPECT_NE(fast.find("HTTP/1.1 200 OK"), std::string::npos) << fast;
+  EXPECT_NE(fast.find("fast\n"), std::string::npos) << fast;
+  EXPECT_NE(healthz.find("HTTP/1.1 200 OK"), std::string::npos) << healthz;
+  EXPECT_NE(shed.find("HTTP/1.1 429"), std::string::npos) << shed;
+  // An HTTP/1.0 request is shed and the connection closed, as it asked.
+  EXPECT_NE(shed.find("Connection: close"), std::string::npos) << shed;
+  EXPECT_NE(blocked_response.find("slow\n"), std::string::npos);
+  EXPECT_NE(queued_response.find("slow\n"), std::string::npos);
+}
+
+TEST(AdminServerSocketTest, ProfilezWindowDoesNotStallItsWorker) {
+  if (!Profiler::SupportedOnThisBuild()) GTEST_SKIP() << "no profiler";
+  // One worker owns every connection: were /profilez run inline, its
+  // window would hold /healthz for the whole window.
+  MetricRegistry registry;
+  AdminServerOptions options;
+  options.serve_workers = 1;
+  options.profiler_metrics = &registry;
+  AdminServer server(&registry, nullptr, nullptr, options);
+  ASSERT_TRUE(server.Start().ok());
+  const int port = server.port();
+  std::string profile;
+  std::thread profiler(
+      [&] { profile = HttpGet(port, "/profilez?seconds=0.6"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  const std::string healthz = HttpGet(port, "/healthz");
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  profiler.join();
+  server.Stop();
+  EXPECT_NE(healthz.find("HTTP/1.1 200 OK"), std::string::npos) << healthz;
+  EXPECT_LT(seconds, 0.3);
+  EXPECT_NE(profile.find("HTTP/1.1 200 OK"), std::string::npos) << profile;
 }
 
 #endif  // SURVEYOR_TEST_HAVE_SOCKETS

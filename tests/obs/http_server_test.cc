@@ -113,6 +113,9 @@ class RawClient {
     return data;
   }
 
+  /// True once a read gave up waiting (as opposed to seeing EOF).
+  bool timed_out() const { return timed_out_; }
+
   /// True when the peer has closed (EOF within the timeout).
   bool AtEof(int timeout_ms = 5000) {
     pollfd pfd{fd_, POLLIN, 0};
@@ -124,7 +127,10 @@ class RawClient {
  private:
   bool Fill(int timeout_ms) {
     pollfd pfd{fd_, POLLIN, 0};
-    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
+    if (::poll(&pfd, 1, timeout_ms) <= 0) {
+      timed_out_ = true;
+      return false;
+    }
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n <= 0) return false;
@@ -134,6 +140,7 @@ class RawClient {
 
   int fd_ = -1;
   std::string buffer_;
+  bool timed_out_ = false;
 };
 
 /// An echo-ish handler: 200 with the method and target in the body so
@@ -149,6 +156,14 @@ HttpResponse EchoHandler(std::string_view method, std::string_view target,
   return response;
 }
 
+/// Route predicates: every request inline, every request on the pool,
+/// or paths under /block on the pool and the rest inline.
+bool NeverBlocks(std::string_view) { return false; }
+bool AlwaysBlocks(std::string_view) { return true; }
+bool BlockPathBlocks(std::string_view target) {
+  return target.substr(0, 6) == "/block";
+}
+
 HttpServerOptions SmallOptions() {
   HttpServerOptions options;
   options.num_workers = 2;
@@ -157,7 +172,7 @@ HttpServerOptions SmallOptions() {
 }
 
 TEST(HttpServerTest, KeepAliveServesManyRequestsOnOneConnection) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   for (int i = 0; i < 5; ++i) {
@@ -175,7 +190,7 @@ TEST(HttpServerTest, KeepAliveServesManyRequestsOnOneConnection) {
 }
 
 TEST(HttpServerTest, Http10ConnectionClosesAfterResponse) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("GET /one HTTP/1.0\r\nHost: t\r\n\r\n"));
@@ -186,7 +201,7 @@ TEST(HttpServerTest, Http10ConnectionClosesAfterResponse) {
 }
 
 TEST(HttpServerTest, PipelinedRequestsAnswerInOrder) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send(
@@ -207,7 +222,7 @@ TEST(HttpServerTest, SlowLorisPartialRequestIsAnswered408AndClosed) {
   HttpServerOptions options = SmallOptions();
   options.idle_timeout_seconds = 0.2;
   options.metrics = &metrics;
-  HttpServer server(EchoHandler, options);
+  HttpServer server(EchoHandler, NeverBlocks, options);
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   // A request head that never finishes.
@@ -222,7 +237,7 @@ TEST(HttpServerTest, SlowLorisPartialRequestIsAnswered408AndClosed) {
 TEST(HttpServerTest, IdleKeepAliveConnectionIsReapedQuietly) {
   HttpServerOptions options = SmallOptions();
   options.idle_timeout_seconds = 0.2;
-  HttpServer server(EchoHandler, options);
+  HttpServer server(EchoHandler, NeverBlocks, options);
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("GET /ok HTTP/1.1\r\nHost: t\r\n\r\n"));
@@ -236,7 +251,7 @@ TEST(HttpServerTest, IdleKeepAliveConnectionIsReapedQuietly) {
 TEST(HttpServerTest, OversizedHeadIsRejected431) {
   HttpServerOptions options = SmallOptions();
   options.max_header_bytes = 256;
-  HttpServer server(EchoHandler, options);
+  HttpServer server(EchoHandler, NeverBlocks, options);
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("GET /big HTTP/1.1\r\nHost: t\r\nX-Pad: " +
@@ -247,7 +262,7 @@ TEST(HttpServerTest, OversizedHeadIsRejected431) {
 }
 
 TEST(HttpServerTest, MalformedRequestLineIsRejected400) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("NONSENSE\r\n\r\n"));
@@ -259,7 +274,7 @@ TEST(HttpServerTest, MalformedRequestLineIsRejected400) {
 TEST(HttpServerTest, OversizedBodyIsRejected413) {
   HttpServerOptions options = SmallOptions();
   options.max_body_bytes = 64;
-  HttpServer server(EchoHandler, options);
+  HttpServer server(EchoHandler, NeverBlocks, options);
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("POST /p HTTP/1.1\r\nHost: t\r\n"
@@ -270,7 +285,7 @@ TEST(HttpServerTest, OversizedBodyIsRejected413) {
 }
 
 TEST(HttpServerTest, ChunkedEncodingIsRejected501) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("POST /c HTTP/1.1\r\nHost: t\r\n"
@@ -281,7 +296,7 @@ TEST(HttpServerTest, ChunkedEncodingIsRejected501) {
 }
 
 TEST(HttpServerTest, PostBodyReachesTheHandler) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   const std::string body = "{\"hello\":\"world\"}";
@@ -294,7 +309,7 @@ TEST(HttpServerTest, PostBodyReachesTheHandler) {
 }
 
 TEST(HttpServerTest, HeadKeepsContentLengthButSuppressesBody) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   // HEAD then GET pipelined: the HEAD response must not carry a body, or
@@ -310,7 +325,7 @@ TEST(HttpServerTest, HeadKeepsContentLengthButSuppressesBody) {
 }
 
 TEST(HttpServerTest, Expect100ContinueIsAcknowledged) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   const std::string body = "late-body";
@@ -336,7 +351,7 @@ TEST(HttpServerTest, ExtraResponseHeadersAreWrittenVerbatim) {
         response.headers.emplace_back("Retry-After", "1");
         return response;
       },
-      SmallOptions());
+      NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("GET / HTTP/1.1\r\nHost: t\r\n\r\n"));
@@ -349,6 +364,7 @@ TEST(HttpServerTest, ExtraResponseHeadersAreWrittenVerbatim) {
 TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
   // One handler thread wedged on a latch + a one-deep queue: the third
   // concurrent request has nowhere to go and must be shed immediately.
+  // The latch handler blocks, so every route is routed to the pool.
   std::mutex mutex;
   std::condition_variable cv;
   bool release = false;
@@ -368,7 +384,7 @@ TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
         response.body = "done\n";
         return response;
       },
-      options);
+      AlwaysBlocks, options);
   ASSERT_TRUE(server.Start().ok());
   auto release_handler = [&] {
     {
@@ -425,7 +441,7 @@ TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
 TEST(HttpServerTest, ConnectionsOverTheCapAreRefused503) {
   HttpServerOptions options = SmallOptions();
   options.max_connections = 2;
-  HttpServer server(EchoHandler, options);
+  HttpServer server(EchoHandler, NeverBlocks, options);
   ASSERT_TRUE(server.Start().ok());
   RawClient first(server.port());
   RawClient second(server.port());
@@ -451,7 +467,7 @@ TEST(HttpServerTest, StopDrainsInFlightRequests) {
         response.body = "drained\n";
         return response;
       },
-      SmallOptions());
+      AlwaysBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   RawClient client(server.port());
   ASSERT_TRUE(client.Send("GET /slow HTTP/1.1\r\nHost: t\r\n\r\n"));
@@ -466,7 +482,7 @@ TEST(HttpServerTest, StopDrainsInFlightRequests) {
 }
 
 TEST(HttpServerTest, StopIsIdempotentAndServerRestartable) {
-  HttpServer server(EchoHandler, SmallOptions());
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
   ASSERT_TRUE(server.Start().ok());
   const int first_port = server.port();
   EXPECT_GT(first_port, 0);
@@ -479,11 +495,227 @@ TEST(HttpServerTest, StopIsIdempotentAndServerRestartable) {
   server.Stop();
 }
 
+/// True when `response` is one whole response: a status line, a head,
+/// and exactly Content-Length body bytes.
+bool IsCompleteResponse(const std::string& response) {
+  const size_t head_end = response.find("\r\n\r\n");
+  const size_t marker = response.find("Content-Length: ");
+  if (response.rfind("HTTP/1.1 ", 0) != 0 || head_end == std::string::npos ||
+      marker == std::string::npos || marker > head_end) {
+    return false;
+  }
+  return response.size() ==
+         head_end + 4 + std::stoul(response.substr(marker + 16));
+}
+
+TEST(HttpServerTest, InlineAndPooledDispatchWriteTheSameBytes) {
+  const std::string requests =
+      "GET /a?x=1 HTTP/1.1\r\nHost: t\r\n\r\n"
+      "HEAD /h HTTP/1.1\r\nHost: t\r\n\r\n"
+      "POST /p HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello"
+      "GET /last HTTP/1.0\r\nHost: t\r\n\r\n";
+  std::vector<std::string> answers;
+  for (const HttpRouteBlocks& route : {HttpRouteBlocks(NeverBlocks),
+                                       HttpRouteBlocks(AlwaysBlocks)}) {
+    HttpServer server(EchoHandler, route, SmallOptions());
+    ASSERT_TRUE(server.Start().ok());
+    RawClient client(server.port());
+    ASSERT_TRUE(client.Send(requests));
+    answers.push_back(client.ReadToEof());
+    server.Stop();
+  }
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_NE(answers[0].find("POST /p body=hello"), std::string::npos)
+      << answers[0];
+  EXPECT_NE(answers[0].find("GET /last"), std::string::npos) << answers[0];
+}
+
+TEST(HttpServerTest, PipelinedInlineAndPooledRequestsAnswerInOrder) {
+  // /block requests sleep on the pool long enough that an inline
+  // successor answered out of turn would overtake them.
+  HttpServer server(
+      [](std::string_view method, std::string_view target,
+         std::string_view body) {
+        if (BlockPathBlocks(target)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+        return EchoHandler(method, target, body);
+      },
+      BlockPathBlocks, SmallOptions());
+  ASSERT_TRUE(server.Start().ok());
+  RawClient client(server.port());
+  const std::vector<std::string> targets = {"/inline-1", "/block-2",
+                                            "/inline-3", "/block-4",
+                                            "/inline-5"};
+  std::string pipelined;
+  for (const std::string& target : targets) {
+    pipelined += "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
+  }
+  ASSERT_TRUE(client.Send(pipelined));
+  for (const std::string& target : targets) {
+    const std::string response = client.ReadResponse();
+    EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
+    EXPECT_NE(response.find("GET " + target + "\n"), std::string::npos)
+        << "expected " << target << ", got " << response;
+  }
+  server.Stop();
+}
+
+TEST(HttpServerTest, InlineRequestsAnswerWhileThePoolIsWedged) {
+  // The one pool thread is stuck on a latch and the one-deep queue is
+  // full, yet inline requests never touch either: they answer 200 while
+  // a blocking request is shed.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  int entered = 0;
+  MetricRegistry metrics;
+  HttpServerOptions options = SmallOptions();
+  options.handler_threads = 1;
+  options.queue_high_water = 1;
+  options.metrics = &metrics;
+  HttpServer server(
+      [&](std::string_view method, std::string_view target,
+          std::string_view body) {
+        if (BlockPathBlocks(target)) {
+          std::unique_lock<std::mutex> lock(mutex);
+          ++entered;
+          cv.notify_all();
+          cv.wait(lock, [&] { return release; });
+        }
+        return EchoHandler(method, target, body);
+      },
+      BlockPathBlocks, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto release_handler = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      release = true;
+    }
+    cv.notify_all();
+  };
+
+  RawClient blocked(server.port());
+  ASSERT_TRUE(blocked.Send("GET /block-a HTTP/1.1\r\nHost: t\r\n\r\n"));
+  bool handler_entered = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    handler_entered = cv.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return entered == 1; });
+  }
+  if (!handler_entered) release_handler();
+  ASSERT_TRUE(handler_entered);
+
+  RawClient queued(server.port());
+  ASSERT_TRUE(queued.Send("GET /block-b HTTP/1.1\r\nHost: t\r\n\r\n"));
+  Gauge* depth = metrics.GetGauge("surveyor_http_queue_depth");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (depth->Value() < 1.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (depth->Value() != 1.0) release_handler();
+  ASSERT_EQ(depth->Value(), 1.0);
+
+  // Inline requests on another connection: answered, never queued.
+  RawClient fast(server.port());
+  for (int i = 0; i < 3; ++i) {
+    const std::string target = "/fast-" + std::to_string(i);
+    ASSERT_TRUE(fast.Send("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n"));
+    const std::string response = fast.ReadResponse();
+    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("GET " + target), std::string::npos) << response;
+  }
+  EXPECT_EQ(depth->Value(), 1.0);
+  EXPECT_EQ(server.shed_count(), 0);
+
+  // A blocking request finds the queue at its high-water mark.
+  RawClient extra(server.port());
+  ASSERT_TRUE(extra.Send("GET /block-c HTTP/1.1\r\nHost: t\r\n\r\n"));
+  const std::string shed_response = extra.ReadResponse();
+  EXPECT_NE(shed_response.find("HTTP/1.1 429"), std::string::npos)
+      << shed_response;
+  EXPECT_EQ(server.shed_count(), 1);
+
+  release_handler();
+  EXPECT_NE(blocked.ReadResponse().find("GET /block-a"), std::string::npos);
+  EXPECT_NE(queued.ReadResponse().find("GET /block-b"), std::string::npos);
+  server.Stop();
+}
+
+TEST(HttpServerTest, StopWhileInlineRequestsStreamEndsCleanly) {
+  HttpServer server(EchoHandler, NeverBlocks, SmallOptions());
+  ASSERT_TRUE(server.Start().ok());
+  constexpr int kClients = 4;
+  std::atomic<int> connected{0};
+  std::atomic<int> ok{0};
+  std::atomic<int> unavailable{0};
+  std::atomic<int> broken{0};
+  std::atomic<int> hung{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      RawClient client(server.port());
+      connected.fetch_add(1);
+      for (int i = 0;; ++i) {
+        const std::string target =
+            "/c" + std::to_string(c) + "/r" + std::to_string(i);
+        if (!client.Send("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n")) {
+          return;
+        }
+        const std::string response = client.ReadResponse();
+        if (response.empty()) {
+          // EOF, or a reset for a request the stopping server never read.
+          if (client.timed_out()) hung.fetch_add(1);
+          return;
+        }
+        if (!IsCompleteResponse(response)) {
+          broken.fetch_add(1);
+          ADD_FAILURE() << "partial response: " << response;
+          return;
+        }
+        if (response.rfind("HTTP/1.1 503", 0) == 0) {
+          unavailable.fetch_add(1);
+        } else if (response.rfind("HTTP/1.1 200 OK", 0) == 0 &&
+                   response.find("GET " + target + "\n") !=
+                       std::string::npos) {
+          ok.fetch_add(1);
+        } else {
+          broken.fetch_add(1);
+          ADD_FAILURE() << "unexpected response: " << response;
+          return;
+        }
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  // Every client is connected (a connect after Stop() would be refused)
+  // and the stream is under way.
+  while ((connected.load() < kClients || ok.load() < 200) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(connected.load(), kClients);
+  EXPECT_GE(ok.load(), 200);
+  const auto stop_start = std::chrono::steady_clock::now();
+  server.Stop();
+  const double stop_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - stop_start)
+                                  .count();
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(broken.load(), 0);
+  EXPECT_EQ(hung.load(), 0);
+  // Nothing is pooled, so nothing is drained: Stop() only flushes.
+  EXPECT_LT(stop_seconds, 2.0);
+}
+
 TEST(HttpServerTest, ManyConcurrentKeepAliveClients) {
   MetricRegistry metrics;
   HttpServerOptions options = SmallOptions();
   options.metrics = &metrics;
-  HttpServer server(EchoHandler, options);
+  HttpServer server(EchoHandler, NeverBlocks, options);
   ASSERT_TRUE(server.Start().ok());
   constexpr int kClients = 8;
   constexpr int kRequestsEach = 20;

@@ -207,6 +207,24 @@ Reference Generate(uint64_t seed, SnapshotWriter* writer) {
       ref.types.insert(type);
     }
   }
+  // One block whose posteriors take three values, so type scans rank it
+  // mostly by the entity-name tie-break.
+  static const double kTiedPosteriors[] = {0.875, 0.75, 0.625};
+  for (int n = 0; n < 40; ++n) {
+    const std::string name = "t" + RandomName(rng, kAlphabet, 5);
+    if (ref.entity_type.count(name) > 0) continue;
+    SnapshotOpinion o;
+    o.entity = name;
+    o.type = "tied";
+    o.property = "cute";
+    o.posterior = kTiedPosteriors[rng.UniformInt(3)];
+    o.polarity = Polarity::kPositive;
+    EXPECT_TRUE(writer->Add(o).ok());
+    ref.opinions.push_back(o);
+    ref.properties.insert(o.property);
+    ref.entity_type[name] = o.type;
+    ref.types.insert(o.type);
+  }
   return ref;
 }
 
@@ -308,11 +326,13 @@ TEST_P(OpinionIndexDifferentialTest, EveryAnswerMatchesTheReference) {
     }
   }
 
+  // The tied block really ties: most of its entries share a posterior.
+  EXPECT_GE(ref.QueryType("tied", "cute", 0).size(), 20u);
   std::vector<std::string> types = {"nosuch", "ANIMAL", "CITY"};
   types.insert(types.end(), ref.types.begin(), ref.types.end());
   for (const std::string& t : types) {
     for (const std::string& p : properties) {
-      for (const size_t limit : {size_t{0}, size_t{3}}) {
+      for (const size_t limit : {size_t{0}, size_t{1}, size_t{3}, size_t{7}}) {
         const std::vector<ServedOpinion> got = index.QueryType(t, p, limit);
         const std::vector<ServedOpinion> want = ref.QueryType(t, p, limit);
         ASSERT_EQ(got.size(), want.size()) << "QueryType " << t << "/" << p;
